@@ -23,7 +23,6 @@ from .errors import (
     CrrKitError,
     DataError,
     EstimandUndefinedError,
-    InvalidModelError,
     TooManyUndefinedError,
     UnknownStratumError,
     ZeroDenominatorError,
@@ -482,13 +481,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "verify":
             return cmd_verify(args)
         raise AssertionError(f"unhandled subcommand {args.subcommand!r}")
-    except (DataError, InvalidModelError, UnknownStratumError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CrrKitError as exc:
+    except (CrrKitError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

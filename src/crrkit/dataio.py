@@ -148,7 +148,7 @@ class LoadReport:
 
 
 def _open_reader(path: str | Path):
-    handle = open(path, newline="", encoding="utf-8")
+    handle = open(path, newline="", encoding="utf-8-sig")  # tolerate a byte-order mark
     return handle, csv.reader(handle)
 
 

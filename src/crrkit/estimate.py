@@ -13,12 +13,22 @@ cell at a time; no regression smoothing. Confidence intervals are percentile
 bootstrap. Census externals are treated as fixed population quantities and
 are never resampled; survey externals are resampled respondent-by-respondent
 alongside the administrative rows.
+
+Every built-in statistic depends only on the scope's four record counts
+(n1, n0, f1, f0) and, for the adjusted ones, the external minority share p1;
+each formula is written once, on those counts. The bootstrap evaluates the
+built-ins on resampled counts: a replicate draws the same row indices (and,
+for survey sources, respondent indices) from the same random stream as a
+row-by-row resample would, and counts the drawn cells, so intervals are
+bit-identical to evaluating the statistic on resampled rows. User-supplied
+callables still receive resampled row datasets.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -40,6 +50,34 @@ def _as_str_array(values) -> np.ndarray:
     return np.asarray(values, dtype=object)
 
 
+class _StratumIndex:
+    """A stratum column encoded once: each stratum's row indices, in row order.
+
+    Codes are assigned in first-seen order through a dict, so encoding never
+    sorts or copies the object column; row indices are int32.
+    """
+
+    def __init__(self, x: np.ndarray) -> None:
+        codes: dict = {}
+        code = np.fromiter(
+            (codes.setdefault(v, len(codes)) for v in x), dtype=np.int32, count=len(x)
+        )
+        self.codes = codes
+        self.order = np.argsort(code, kind="stable").astype(np.int32)
+        self.bounds = np.zeros(len(codes) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(code, minlength=len(codes)), out=self.bounds[1:])
+
+    def keys(self) -> list[str]:
+        return sorted({str(v) for v in self.codes})
+
+    def rows(self, x: str) -> np.ndarray:
+        """Row indices of stratum ``x`` in original order; empty when absent."""
+        code = self.codes.get(x)
+        if code is None:
+            return self.order[:0]
+        return self.order[self.bounds[code] : self.bounds[code + 1]]
+
+
 @dataclass(frozen=True)
 class AdministrativeDataset:
     """Detainment records: race indicator, force indicator, stratum key per row."""
@@ -51,6 +89,14 @@ class AdministrativeDataset:
     def __post_init__(self) -> None:
         if not (len(self.d) == len(self.y) == len(self.x)):
             raise ValueError("column arrays must have equal length")
+        for name in ("d", "y"):
+            values = np.asarray(getattr(self, name))
+            if values.dtype.kind in "biu":  # min and max allocate no full-length temporaries
+                valid = values.size == 0 or (values.min() >= 0 and values.max() <= 1)
+            else:
+                valid = np.all((values == 0) | (values == 1))
+            if not valid:
+                raise ValueError(f"{name} values must be 0 or 1")
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[int, int, str]]) -> "AdministrativeDataset":
@@ -71,18 +117,37 @@ class AdministrativeDataset:
     def n(self) -> int:
         return len(self.d)
 
+    @cached_property
+    def _strata_index(self) -> _StratumIndex:
+        return _StratumIndex(self.x)
+
+    @cached_property
+    def _cells(self) -> np.ndarray:
+        """Per-row cell code 2*d + y (int8)."""
+        return 2 * np.asarray(self.d, dtype=np.int8) + np.asarray(self.y, dtype=np.int8)
+
+    def _scope_cells(self, x: str | None) -> np.ndarray:
+        return self._cells if x is None else self._cells[self._strata_index.rows(x)]
+
     def strata(self) -> list[str]:
-        return sorted({str(v) for v in self.x})
+        return self._strata_index.keys()
 
     def restrict(self, x: str | None) -> "AdministrativeDataset":
         """Rows in stratum ``x``; ``None`` keeps every row (pooled scope)."""
         if x is None:
             return self
-        mask = self.x == x
-        return AdministrativeDataset(self.d[mask], self.y[mask], self.x[mask])
+        return self.take(self._strata_index.rows(x))
 
     def take(self, idx: np.ndarray) -> "AdministrativeDataset":
         return AdministrativeDataset(self.d[idx], self.y[idx], self.x[idx])
+
+
+def _weighted_share(d: np.ndarray, weight: np.ndarray) -> float | None:
+    """Weighted share of minority respondents, or None on zero total weight."""
+    total = float(np.sum(weight))
+    if total <= 0.0:
+        return None
+    return float(np.sum(weight * (d == 1))) / total
 
 
 @dataclass(frozen=True)
@@ -111,24 +176,24 @@ class SurveyRespondents:
     def n(self) -> int:
         return len(self.d)
 
+    @cached_property
+    def _strata_index(self) -> _StratumIndex:
+        return _StratumIndex(self.x)
+
     def restrict(self, x: str | None) -> "SurveyRespondents":
         if x is None:
             return self
-        mask = self.x == x
-        return SurveyRespondents(self.d[mask], self.x[mask], self.weight[mask])
+        return self.take(self._strata_index.rows(x))
 
     def take(self, idx: np.ndarray) -> "SurveyRespondents":
         return SurveyRespondents(self.d[idx], self.x[idx], self.weight[idx])
 
     def minority_share(self) -> float | None:
         """Weighted share of minority respondents, or None on zero total weight."""
-        total = float(np.sum(self.weight))
-        if total <= 0.0:
-            return None
-        return float(np.sum(self.weight * (self.d == 1))) / total
+        return _weighted_share(self.d, self.weight)
 
     def shares_by_stratum(self) -> dict[str, float | None]:
-        return {key: self.restrict(key).minority_share() for key in sorted({str(v) for v in self.x})}
+        return {key: self.restrict(key).minority_share() for key in self._strata_index.keys()}
 
 
 @dataclass(frozen=True)
@@ -206,9 +271,7 @@ class ExternalRaceDistribution:
             return next(iter(self.shares.values()))
         return None
 
-    def p1_for(self, x: str | None) -> float | None:
-        """Minority share for stratum ``x`` (None = pooled), mixture applied."""
-        base = self._local_share(x)
+    def _mixed(self, base: float | None) -> float | None:
         if self.mix_citywide is None:
             return base
         lam = self.mix_lambda
@@ -217,7 +280,14 @@ class ExternalRaceDistribution:
             return self.mix_citywide if lam == 0.0 else None
         return lam * base + (1.0 - lam) * self.mix_citywide
 
+    def p1_for(self, x: str | None) -> float | None:
+        """Minority share for stratum ``x`` (None = pooled), mixture applied."""
+        return self._mixed(self._local_share(x))
+
     # -- bootstrap support ------------------------------------------------------
+
+    def _resamples_respondents(self) -> bool:
+        return self.kind == SURVEY_RESAMPLED and self.respondents is not None
 
     def resampled(self, rng: np.random.Generator, x: str | None = None) -> "ExternalRaceDistribution":
         """One bootstrap draw of this distribution, scoped to stratum ``x``.
@@ -226,7 +296,7 @@ class ExternalRaceDistribution:
         the scoped respondents with replacement and recompute shares; the
         mixture parameters carry over.
         """
-        if self.kind == CENSUS_FIXED or self.respondents is None:
+        if not self._resamples_respondents():
             return self
         scoped = self.respondents.restrict(x)
         if scoped.n == 0:
@@ -240,6 +310,28 @@ class ExternalRaceDistribution:
             mix_lambda=self.mix_lambda,
             mix_citywide=self.mix_citywide,
         )
+
+    def _share_sampler(self, x: str | None) -> Callable[[np.random.Generator], float | None]:
+        """Per-replicate p1 for scope ``x``, equal to ``resampled(rng, x).p1_for(x)``.
+
+        The scoped respondents are gathered once; each call draws the same
+        respondent indices from ``rng`` and recomputes only this scope's
+        share, with the mixture reapplied.
+        """
+        if not self._resamples_respondents():
+            p1 = self.p1_for(x)
+            return lambda rng: p1
+        scoped = self.respondents.restrict(x)
+        d, weight, m = scoped.d, scoped.weight, scoped.n
+        if m == 0:
+            p1 = self._mixed(None)
+            return lambda rng: p1
+
+        def draw(rng: np.random.Generator) -> float | None:
+            idx = rng.integers(0, m, size=m)
+            return self._mixed(_weighted_share(d[idx], weight[idx]))
+
+        return draw
 
 
 def sensitivity_mixture(
@@ -259,24 +351,22 @@ def sensitivity_mixture(
 
 
 # -- point estimators ------------------------------------------------------------
+#
+# Each statistic is written once, on the scope's counts (n1, n0, f1, f0): race
+# totals and force counts. The public functions count a dataset's cells and
+# call these; the bootstrap calls them on resampled counts.
+
+Counts = tuple[int, int, int, int]
 
 
-def _force_cells(data: AdministrativeDataset, x: str | None) -> tuple[int, int, int, int]:
-    """Counts (n1, n0, f1, f0): race totals and force counts within scope."""
-    scoped = data.restrict(x)
-    d = scoped.d
-    y = scoped.y
-    n1 = int(np.sum(d == 1))
-    n0 = int(np.sum(d == 0))
-    f1 = int(np.sum((d == 1) & (y == 1)))
-    f0 = int(np.sum((d == 0) & (y == 1)))
-    return n1, n0, f1, f0
+def _counts(cells: np.ndarray) -> Counts:
+    """Counts (n1, n0, f1, f0) from cell codes 2*d + y."""
+    c00, c01, c10, c11 = np.bincount(cells, minlength=4).tolist()
+    return c10 + c11, c00 + c01, c11, c01
 
 
-def _rates(
-    data: AdministrativeDataset, x: str | None, haldane: bool
-) -> tuple[float, float]:
-    n1, n0, f1, f0 = _force_cells(data, x)
+def _rates(counts: Counts, x: str | None, haldane: bool) -> tuple[float, float]:
+    n1, n0, f1, f0 = counts
     if n1 == 0 or n0 == 0:
         raise MissingGroupError(
             f"both race groups required in scope {x!r}: n1={n1}, n0={n0}"
@@ -286,22 +376,55 @@ def _rates(
     return f1 / n1, f0 / n0
 
 
+def _risk_difference(counts: Counts, p1: float | None, x: str | None, haldane: bool) -> float:
+    r1, r0 = _rates(counts, x, haldane)
+    return r1 - r0
+
+
+def _risk_ratio(counts: Counts, p1: float | None, x: str | None, haldane: bool) -> float:
+    r1, r0 = _rates(counts, x, haldane)
+    if r0 == 0.0:
+        raise ZeroDenominatorError(f"majority force rate is zero in scope {x!r}")
+    return r1 / r0
+
+
+def _bias_factor(counts: Counts, p1: float | None, x: str | None, haldane: bool) -> float:
+    c1 = float(counts[0])
+    c0 = float(counts[1])
+    if c1 + c0 == 0:
+        raise MissingGroupError(f"no administrative rows in scope {x!r}")
+    if haldane:
+        c1 += 0.5
+        c0 += 0.5
+    if c1 == 0.0 or c0 == 0.0:
+        raise DegenerateOddsError(
+            f"detainment race odds degenerate in scope {x!r}: c1={c1}, c0={c0}"
+        )
+    if p1 is None:
+        raise DegenerateOddsError(f"no external minority share for scope {x!r}")
+    if not 0.0 < p1 < 1.0:
+        raise DegenerateOddsError(
+            f"external minority share must lie strictly in (0, 1), got {p1!r}"
+        )
+    return (c1 * (1.0 - p1)) / (c0 * p1)
+
+
+def _crr(counts: Counts, p1: float | None, x: str | None, haldane: bool) -> float:
+    return _risk_ratio(counts, p1, x, haldane) * _bias_factor(counts, p1, x, haldane)
+
+
 def naive_risk_difference(
     data: AdministrativeDataset, x: str | None = None, *, haldane: bool = False
 ) -> float:
     """Difference in record-level force rates, minority minus majority."""
-    r1, r0 = _rates(data, x, haldane)
-    return r1 - r0
+    return _risk_difference(_counts(data._scope_cells(x)), None, x, haldane)
 
 
 def naive_risk_ratio(
     data: AdministrativeDataset, x: str | None = None, *, haldane: bool = False
 ) -> float:
     """Ratio of record-level force rates; ignores selection into the records."""
-    r1, r0 = _rates(data, x, haldane)
-    if r0 == 0.0:
-        raise ZeroDenominatorError(f"majority force rate is zero in scope {x!r}")
-    return r1 / r0
+    return _risk_ratio(_counts(data._scope_cells(x)), None, x, haldane)
 
 
 def bias_factor(
@@ -317,26 +440,7 @@ def bias_factor(
     inputs give exact output (e.g. detainment share 0.8 against encounter
     share 0.25 yields 12.0 with no rounding).
     """
-    scoped = data.restrict(x)
-    c1 = float(np.sum(scoped.d == 1))
-    c0 = float(np.sum(scoped.d == 0))
-    if c1 + c0 == 0:
-        raise MissingGroupError(f"no administrative rows in scope {x!r}")
-    if haldane:
-        c1 += 0.5
-        c0 += 0.5
-    if c1 == 0.0 or c0 == 0.0:
-        raise DegenerateOddsError(
-            f"detainment race odds degenerate in scope {x!r}: c1={c1}, c0={c0}"
-        )
-    p1 = external.p1_for(x)
-    if p1 is None:
-        raise DegenerateOddsError(f"no external minority share for scope {x!r}")
-    if not 0.0 < p1 < 1.0:
-        raise DegenerateOddsError(
-            f"external minority share must lie strictly in (0, 1), got {p1!r}"
-        )
-    return (c1 * (1.0 - p1)) / (c0 * p1)
+    return _bias_factor(_counts(data._scope_cells(x)), external.p1_for(x), x, haldane)
 
 
 def crr_identified(
@@ -347,9 +451,16 @@ def crr_identified(
     haldane: bool = False,
 ) -> float:
     """Causal risk ratio: naive risk ratio corrected by the bias factor."""
-    return naive_risk_ratio(data, x, haldane=haldane) * bias_factor(
-        data, external, x, haldane=haldane
-    )
+    return _crr(_counts(data._scope_cells(x)), external.p1_for(x), x, haldane)
+
+
+#: Count form of each built-in statistic, and whether it reads the external share.
+_COUNT_FORMS = {
+    naive_risk_difference: (_risk_difference, False),
+    naive_risk_ratio: (_risk_ratio, False),
+    bias_factor: (_bias_factor, True),
+    crr_identified: (_crr, True),
+}
 
 
 # -- bootstrap ----------------------------------------------------------------------
@@ -396,6 +507,37 @@ def _bind_statistic(statistic: Statistic, haldane: bool):
     return call
 
 
+def _count_replicates(
+    form, reads_share: bool, cells: np.ndarray, external, x, haldane: bool
+) -> tuple[float, Callable[[np.random.Generator], float]]:
+    """Point estimate and replicate function of a built-in, on counts."""
+    point = form(_counts(cells), external.p1_for(x) if reads_share else None, x, haldane)
+    share = external._share_sampler(x) if reads_share else lambda rng: None
+    n = len(cells)
+
+    def replicate(rng: np.random.Generator) -> float:
+        idx = rng.integers(0, n, size=n)
+        counts = _counts(cells[idx])
+        return form(counts, share(rng), x, haldane)
+
+    return point, replicate
+
+
+def _row_replicates(
+    statistic: Statistic, scoped: AdministrativeDataset, external, x, haldane: bool
+) -> tuple[float, Callable[[np.random.Generator], float]]:
+    """Point estimate and replicate function of a user callable, on rows."""
+    call = _bind_statistic(statistic, haldane)
+    point = call(scoped, external, x)
+
+    def replicate(rng: np.random.Generator) -> float:
+        idx = rng.integers(0, scoped.n, size=scoped.n)
+        boot_external = external.resampled(rng, x) if external is not None else None
+        return call(scoped.take(idx), boot_external, x)
+
+    return point, replicate
+
+
 #: Implemented bootstrap interval constructions.
 INTERVAL_METHODS = ("percentile",)
 
@@ -420,6 +562,10 @@ def bootstrap(
     from ``seed`` by replicate index, and results merge in replicate order,
     so a parallel runner would reproduce the serial intervals exactly.
 
+    The built-in statistics are evaluated on the counts of each resample;
+    any other callable receives the resampled rows as a dataset (and a
+    resampled external source when it takes one).
+
     ``method`` selects the interval construction; only "percentile" is
     implemented. Raises TooManyUndefinedError when more than half the
     replicates are undefined.
@@ -430,24 +576,23 @@ def bootstrap(
         raise ValueError("bootstrap needs at least 2 replicates")
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
-    scoped = data.restrict(x)
-    if scoped.n == 0:
+    cells = data._scope_cells(x)
+    if len(cells) == 0:
         if x is not None:
             raise UnknownStratumError(f"stratum {x!r} has no administrative rows")
         raise MissingGroupError("administrative dataset is empty")
 
-    call = _bind_statistic(statistic, haldane)
-    point = call(scoped, external, x)
+    count_form = _COUNT_FORMS.get(statistic)
+    if count_form is None:
+        point, replicate = _row_replicates(statistic, data.restrict(x), external, x, haldane)
+    else:
+        point, replicate = _count_replicates(*count_form, cells, external, x, haldane)
 
     values: list[float] = []
     undefined = 0
     for child in np.random.SeedSequence(seed).spawn(replicates):
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, scoped.n, size=scoped.n)
-        boot_data = scoped.take(idx)
-        boot_external = external.resampled(rng, x) if external is not None else None
         try:
-            values.append(call(boot_data, boot_external, x))
+            values.append(replicate(np.random.default_rng(child)))
         except EstimandUndefinedError:
             undefined += 1
     if 2 * undefined > replicates:

@@ -349,8 +349,9 @@ def bias_factor_true(model: PopulationModel) -> float:
     """
     joint1 = model.p_d * model.e_m1          # P(D=1, M=1)
     joint0 = (1.0 - model.p_d) * model.e_m0  # P(D=0, M=1)
-    if joint1 <= 0.0 or joint0 <= 0.0 or not 0.0 < model.p_d < 1.0:
+    denominator = joint0 * model.p_d  # underflows to 0 for subnormal p_d
+    if joint1 <= 0.0 or not 0.0 < model.p_d < 1.0 or not 0.0 < denominator < math.inf:
         raise DegenerateOddsError(
             "population race odds degenerate; bias factor undefined"
         )
-    return (joint1 * (1.0 - model.p_d)) / (joint0 * model.p_d)
+    return (joint1 * (1.0 - model.p_d)) / denominator

@@ -418,6 +418,19 @@ class TestConfigAndErrors:
         assert code == 0
         assert point_of(parse_csv_rows(out), "naive-rr") == pytest.approx(1.0)
 
+    def test_byte_order_mark_in_admin_csv(self, capsys, tmp_path):
+        admin = tmp_path / "admin.csv"
+        rows = "1,1,a\n1,0,a\n0,1,a\n0,0,a\n0,0,a\n" * 10
+        admin.write_bytes(b"\xef\xbb\xbf" + ("d,y,x\n" + rows).encode())
+        code, out, err = run(
+            capsys,
+            ["estimate", "--admin", str(admin), "--bootstrap", "50", "--seed", "3",
+             "--format", "csv"],
+        )
+        assert code == 0, err
+        # force rate 1/2 among minority records over 1/3 among majority records
+        assert point_of(parse_csv_rows(out), "naive-rr") == pytest.approx(1.5)
+
     def test_missing_input_file_is_exit_2(self, capsys):
         code, _, err = run(capsys, ["estimands", "--model-file", "/nonexistent.json"])
         assert code == 2

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from crrkit.errors import (
     DegenerateOddsError,
+    EstimandUndefinedError,
     MissingGroupError,
     TooManyUndefinedError,
     UnknownStratumError,
@@ -14,6 +15,7 @@ from crrkit.errors import (
 )
 from crrkit.estimate import (
     AdministrativeDataset,
+    EstimateWithCI,
     ExternalRaceDistribution,
     SurveyRespondents,
     bias_factor,
@@ -302,6 +304,118 @@ class TestBootstrap:
             assert (res.adjusted.hi - res.adjusted.lo) > res.adjusted.point
 
 
+def row_path_bootstrap(statistic, data, external=None, *, x=None, level=0.95,
+                       replicates=1000, seed=0, haldane=False):
+    """Reference bootstrap that resamples rows and evaluates the row-level statistic.
+
+    Same stream as ``bootstrap``: per replicate, row indices and then (for
+    survey sources) respondent indices from the replicate's generator.
+    """
+    scoped = data.restrict(x)
+    wants_external = statistic in (bias_factor, crr_identified)
+
+    def call(rows, ext):
+        if wants_external:
+            return statistic(rows, ext, x, haldane=haldane)
+        return statistic(rows, x, haldane=haldane)
+
+    point = call(scoped, external)
+    values, undefined = [], 0
+    for child in np.random.SeedSequence(seed).spawn(replicates):
+        rng = np.random.default_rng(child)
+        idx = rng.integers(0, scoped.n, size=scoped.n)
+        boot_data = scoped.take(idx)
+        boot_external = external.resampled(rng, x) if external is not None else None
+        try:
+            values.append(call(boot_data, boot_external))
+        except EstimandUndefinedError:
+            undefined += 1
+    if 2 * undefined > replicates:
+        raise TooManyUndefinedError(
+            f"{undefined} of {replicates} bootstrap replicates were undefined"
+        )
+    alpha = 1.0 - level
+    lo, hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return EstimateWithCI(
+        point=float(point), lo=float(lo), hi=float(hi), level=level,
+        replicates=replicates, seed=seed, undefined_replicates=undefined,
+    )
+
+
+def outcome(run, *args, **kwargs):
+    """A bootstrap's result, or the type and message of the error it raised."""
+    try:
+        return run(*args, **kwargs)
+    except (EstimandUndefinedError, TooManyUndefinedError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestCountPathMatchesRowPath:
+    """Built-ins bootstrapped on counts equal the row-resampling reference exactly."""
+
+    @staticmethod
+    def fixture():
+        rng = np.random.default_rng(2024)
+        rows = []
+        for key, n, p1, py in (("a", 150, 0.4, 0.3), ("b", 80, 0.6, 0.5), ("c", 12, 0.9, 0.6)):
+            d = (rng.random(n) < p1).astype(int)
+            y = (rng.random(n) < py).astype(int)
+            rows += [(int(a), int(b), key) for a, b in zip(d, y)]
+        order = rng.permutation(len(rows))
+        data = dataset([rows[i] for i in order])
+        # non-integer weights, so the share's summation order matters; no
+        # respondents for "b", and an undefined census share for "c"
+        respondents = SurveyRespondents.from_rows(
+            [(int(rng.random() < 0.35), "a", float(rng.uniform(0.1, 3.0))) for _ in range(40)]
+            + [(int(rng.random() < 0.8), "c", float(rng.uniform(0.1, 3.0))) for _ in range(6)]
+        )
+        census_counts = ExternalRaceDistribution.census_from_counts(
+            {"a": (30.0, 70.0), "b": (50.0, 50.0), "c": (0.0, 0.0)}
+        )
+        survey = ExternalRaceDistribution.from_survey(respondents)
+        externals = [
+            census_counts,
+            survey,
+            sensitivity_mixture(census_counts, 0.45, 0.7),
+            sensitivity_mixture(survey, 0.45, 0.7),
+            sensitivity_mixture(survey, 0.45, 0.0),
+        ]
+        requests = [(naive_risk_difference, None), (naive_risk_ratio, None), (naive_risk_ratio, survey)]
+        requests += [(stat, ext) for stat in (bias_factor, crr_identified) for ext in externals]
+        return data, requests
+
+    @pytest.mark.parametrize("haldane", [False, True])
+    @pytest.mark.parametrize("x", [None, "a", "b", "c"])
+    def test_scopes_externals_and_seeds(self, x, haldane):
+        data, requests = self.fixture()
+        for seed in (3, 17, 101):
+            for statistic, external in requests:
+                kwargs = dict(x=x, replicates=40, seed=seed, haldane=haldane)
+                expected = outcome(row_path_bootstrap, statistic, data, external, **kwargs)
+                assert outcome(bootstrap, statistic, data, external, **kwargs) == expected, (
+                    statistic.__name__, external, seed
+                )
+
+    @pytest.mark.parametrize("haldane", [False, True])
+    def test_undefined_replicates_match(self, haldane):
+        # a single majority row vanishes from ~37% of resamples
+        data = dataset([(1, 1, "all")] * 19 + [(0, 1, "all")])
+        survey = ExternalRaceDistribution.from_survey(
+            SurveyRespondents.from_rows([(1, "all", 1.5)] * 3 + [(0, "all", 0.25)] * 7)
+        )
+        for statistic, external in [
+            (naive_risk_ratio, None),
+            (crr_identified, census({"all": 0.3})),
+            (crr_identified, survey),
+        ]:
+            for seed in (11, 12):
+                kwargs = dict(replicates=400, seed=seed, haldane=haldane)
+                expected = outcome(row_path_bootstrap, statistic, data, external, **kwargs)
+                assert outcome(bootstrap, statistic, data, external, **kwargs) == expected
+                if not haldane:
+                    assert 0 < expected.undefined_replicates < 200
+
+
 class TestStratified:
     @staticmethod
     def two_precinct_data(seed=97, n=40_000):
@@ -480,3 +594,19 @@ class TestExternalDistribution:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             SurveyRespondents.from_rows([(1, "s", -1.0)])
+
+
+class TestDatasets:
+    def test_indicators_outside_zero_one_rejected(self):
+        with pytest.raises(ValueError, match="d values"):
+            dataset([(2, 0, "a")])
+        with pytest.raises(ValueError, match="y values"):
+            dataset([(1, -1, "a")])
+
+    def test_restrict_keeps_row_order(self):
+        data = dataset([(1, 0, "b"), (0, 1, "a"), (0, 0, "b"), (1, 1, "a"), (1, 1, "b")])
+        scoped = data.restrict("b")
+        assert scoped.d.tolist() == [1, 0, 1]
+        assert scoped.y.tolist() == [0, 0, 1]
+        assert data.restrict("zz").n == 0
+        assert data.strata() == ["a", "b"]

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from crrkit.errors import (
     DegenerateOddsError,
@@ -260,6 +260,12 @@ class TestRiskRatio:
         assert naive_rr_true(model) <= crr + 1e-12
 
     @given(monotone_models())
+    @example(
+        # joint0 * p_d underflows to 0: degenerate, not a ZeroDivisionError
+        PopulationModel(
+            p_d=5e-324, pi_al=1 / 3, pi_mi=1 / 3, pi_ma=0.0, pi_ne=1 / 3, mu_01=1.0, mu_11=0.0
+        )
+    )
     def test_bias_factor_at_least_one_under_monotonicity(self, model):
         try:
             bf = bias_factor_true(model)
