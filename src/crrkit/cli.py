@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,16 +31,16 @@ from .errors import (
 )
 from .estimate import (
     AdministrativeDataset,
-    EstimateWithCI,
     ExternalRaceDistribution,
+    Statistic,
     bias_factor,
     bootstrap,
     crr_identified,
     naive_risk_difference,
     naive_risk_ratio,
     sensitivity_mixture,
-    stratified_estimates,
 )
+from .estimate import stratified_estimates  # noqa: F401  benchmarks/tracing.py patches this name
 from .model import Estimand, crr_true, estimand_value, pie_pde
 from .report import Report, ReportRow, render
 from .simulate import ORACLE_FIELDS, oracle_estimands, sample_encounters, to_administrative
@@ -139,19 +140,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _config_value(action: argparse.Action, key: str, value: object) -> object:
+    """``value`` if its JSON type and choice suit the flag's action, else DataError."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        expected, ok = "true or false", isinstance(value, bool)
+    elif action.type is int:
+        expected, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    elif action.type is float:
+        expected, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        expected, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise DataError(f"config key {key!r} must be {expected}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise DataError(f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
+    return value
+
+
+def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     """Fill unset flags from the JSON config; returns the raw config dict."""
     if not getattr(args, "config", None):
         return {}
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(config, dict):
         raise DataError("config file must contain a JSON object")
+    # argparse exposes a parser's actions, with their type and choices, only as _actions
+    (subparsers,) = [a for a in parser._actions if a.dest == "subcommand"]
+    actions = {a.dest: a for a in subparsers.choices[args.subcommand]._actions}
     for dest, value in vars(args).items():
-        if value is not None:
-            continue
         key = CONFIG_ALIASES.get(dest, dest)
-        if key in config:
-            setattr(args, dest, config[key])
+        if value is None and config.get(key) is not None:
+            setattr(args, dest, _config_value(actions[dest], key, config[key]))
     return config
 
 
@@ -278,6 +297,8 @@ def _parse_strata(args: argparse.Namespace, data: AdministrativeDataset) -> list
     if args.strata == "all":
         return data.strata()
     keys = [k for k in args.strata.split(",") if k]
+    if not keys:
+        raise DataError(f"--strata {args.strata!r} names no stratum")
     present = set(data.strata())
     unknown = [k for k in keys if k not in present]
     if unknown:
@@ -285,60 +306,43 @@ def _parse_strata(args: argparse.Namespace, data: AdministrativeDataset) -> list
     return keys
 
 
-def _ci_row(
-    stratum: str,
-    estimand: str,
-    estimate: EstimateWithCI | None,
-    error: str | None,
-    flags: tuple[str, ...],
-) -> ReportRow:
-    if estimate is None:
-        reason = (error or "unknown").split(":", 1)[0]
-        return ReportRow(stratum, estimand, None, flags=flags + (report_mod.UNDEFINED, reason))
-    row_flags = flags
-    if estimate.undefined_replicates:
-        row_flags = flags + (f"undefined_replicates={estimate.undefined_replicates}",)
-    return ReportRow(stratum, estimand, estimate.point, estimate.lo, estimate.hi, row_flags)
+class _Request(NamedTuple):
+    """One output row to estimate: ``x`` is the scope (None = pooled)."""
+
+    estimand: str
+    flags: tuple[str, ...]
+    statistic: Statistic
+    external: ExternalRaceDistribution | None
+    x: str | None
+    seed: int
 
 
-def _pooled_rows(
-    rep: Report,
-    data: AdministrativeDataset,
-    externals: list[tuple[str, ExternalRaceDistribution]],
-    args: argparse.Namespace,
+def _add_rows(
+    rep: Report, data: AdministrativeDataset, requests: list[_Request], args: argparse.Namespace
 ) -> None:
-    base_flags = ("haldane",) if args.haldane else ()
-    seeds = _fresh_seeds(args.seed, 2 + 2 * len(externals))
-
-    def run(statistic, external, seed):
-        return bootstrap(
-            statistic,
-            data,
-            external,
-            x=None,
-            level=args.level,
-            replicates=args.bootstrap,
-            seed=seed,
-            haldane=args.haldane,
-        )
-
-    for i, (statistic, name) in enumerate(
-        [(naive_risk_difference, "naive-rd"), (naive_risk_ratio, "naive-rr")]
-    ):
+    """Bootstrap each request into one row; an undefined estimate becomes an undefined row."""
+    for estimand, flags, statistic, external, x, seed in requests:
+        stratum = dataio.POOLED_KEY if x is None else x
+        if args.haldane:
+            flags += ("haldane",)
         try:
-            estimate, error = run(statistic, None, seeds[i]), None
+            estimate = bootstrap(
+                statistic,
+                data,
+                external,
+                x=x,
+                level=args.level,
+                replicates=args.bootstrap,
+                seed=seed,
+                haldane=args.haldane,
+            )
         except (EstimandUndefinedError, TooManyUndefinedError) as exc:
-            estimate, error = None, f"{type(exc).__name__}: {exc}"
-        rep.add_row(_ci_row("all", name, estimate, error, ("naive",) + base_flags))
-    for j, (label, external) in enumerate(externals):
-        for k, (statistic, name, flag) in enumerate(
-            [(bias_factor, "bias-factor", "bias-factor"), (crr_identified, "adjusted-crr", "adjusted")]
-        ):
-            try:
-                estimate, error = run(statistic, external, seeds[2 + 2 * j + k]), None
-            except (EstimandUndefinedError, TooManyUndefinedError) as exc:
-                estimate, error = None, f"{type(exc).__name__}: {exc}"
-            rep.add_row(_ci_row("all", name, estimate, error, (flag, label) + base_flags))
+            flags += (report_mod.UNDEFINED, type(exc).__name__)
+            rep.add_row(ReportRow(stratum, estimand, None, flags=flags))
+            continue
+        if estimate.undefined_replicates:
+            flags += (f"undefined_replicates={estimate.undefined_replicates}",)
+        rep.add_row(ReportRow(stratum, estimand, estimate.point, estimate.lo, estimate.hi, flags))
 
 
 def cmd_estimate(args: argparse.Namespace, config: dict) -> int:
@@ -358,35 +362,36 @@ def cmd_estimate(args: argparse.Namespace, config: dict) -> int:
     rep.add_header("haldane", args.haldane)
     rep.add_header("dropped_rows", load_rep.n_dropped)
 
-    _pooled_rows(rep, data, externals, args)
+    seeds = _fresh_seeds(args.seed, 2 + 2 * len(externals))
+    requests = [
+        _Request("naive-rd", ("naive",), naive_risk_difference, None, None, seeds[0]),
+        _Request("naive-rr", ("naive",), naive_risk_ratio, None, None, seeds[1]),
+    ]
+    for (label, external), bf_seed, crr_seed in zip(externals, seeds[2::2], seeds[3::2]):
+        requests += [
+            _Request("bias-factor", ("bias-factor", label), bias_factor, external, None, bf_seed),
+            _Request("adjusted-crr", ("adjusted", label), crr_identified, external, None, crr_seed),
+        ]
 
     if strata is not None:
-        base_flags = ("haldane",) if args.haldane else ()
-        for idx, (label, external) in enumerate(externals or [("none", None)]):
-            results = stratified_estimates(
-                data,
-                external,
-                strata,
-                level=args.level,
-                replicates=args.bootstrap,
-                seed=args.seed,
-                haldane=args.haldane,
-            )
-            for res in results:
-                if idx == 0:
-                    rep.add_row(
-                        _ci_row(res.x, "naive-rr", res.naive, res.naive_error, ("naive",) + base_flags)
-                    )
-                if external is not None:
-                    rep.add_row(
-                        _ci_row(
-                            res.x,
-                            "adjusted-crr",
-                            res.adjusted,
-                            res.adjusted_error,
-                            ("adjusted", label) + base_flags,
-                        )
-                    )
+        # stratum i: the naive row takes seed 2i and every external's adjusted row 2i + 1
+        seeds = _fresh_seeds(args.seed, 2 * len(strata))
+        adjusted = [
+            [
+                _Request("adjusted-crr", ("adjusted", label), crr_identified, external, key, seed)
+                for key, seed in zip(strata, seeds[1::2])
+            ]
+            for label, external in externals
+        ]
+        # the first external's rows interleave with the naive rows; the others follow
+        for i, (key, seed) in enumerate(zip(strata, seeds[::2])):
+            requests.append(_Request("naive-rr", ("naive",), naive_risk_ratio, None, key, seed))
+            if adjusted:
+                requests.append(adjusted[0][i])
+        for rows in adjusted[1:]:
+            requests += rows
+
+    _add_rows(rep, data, requests, args)
     print(render(rep, args.format), end="")
     return 0
 
@@ -399,7 +404,7 @@ def cmd_sensitivity(args: argparse.Namespace, config: dict) -> int:
     external, census_rep = dataio.load_census(args.census)
     _note(census_rep.summary())
     mixed = sensitivity_mixture(external, args.citywide_p1, args.lam)
-    keys = _parse_strata(args, data) or data.strata()
+    keys = data.strata() if args.strata is None else _parse_strata(args, data)
 
     rep = Report("sensitivity")
     rep.add_header("admin", args.admin)
@@ -411,30 +416,13 @@ def cmd_sensitivity(args: argparse.Namespace, config: dict) -> int:
     rep.add_header("level", args.level)
     rep.add_header("haldane", args.haldane)
 
-    base_flags = ("haldane",) if args.haldane else ()
-    seeds = _fresh_seeds(args.seed, len(keys))
-    for key, seed in zip(keys, seeds):
-        # same per-stratum seed for both variants: differences are mixture-only
-        for variant, source in (("unmixed", external), ("mixed", mixed)):
-            try:
-                estimate, error = (
-                    bootstrap(
-                        crr_identified,
-                        data,
-                        source,
-                        x=key,
-                        level=args.level,
-                        replicates=args.bootstrap,
-                        seed=seed,
-                        haldane=args.haldane,
-                    ),
-                    None,
-                )
-            except (EstimandUndefinedError, TooManyUndefinedError) as exc:
-                estimate, error = None, f"{type(exc).__name__}: {exc}"
-            rep.add_row(
-                _ci_row(key, "adjusted-crr", estimate, error, ("adjusted", variant) + base_flags)
-            )
+    # same per-stratum seed for both variants: differences are mixture-only
+    requests = [
+        _Request("adjusted-crr", ("adjusted", variant), crr_identified, source, key, seed)
+        for key, seed in zip(keys, _fresh_seeds(args.seed, len(keys)))
+        for variant, source in (("unmixed", external), ("mixed", mixed))
+    ]
+    _add_rows(rep, data, requests, args)
     print(render(rep, args.format), end="")
     return 0
 
@@ -468,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _merge_config(args)
+        config = _merge_config(parser, args)
         _apply_defaults(args)
         if args.subcommand == "simulate":
             return cmd_simulate(args)

@@ -538,10 +538,6 @@ def _row_replicates(
     return point, replicate
 
 
-#: Implemented bootstrap interval constructions.
-INTERVAL_METHODS = ("percentile",)
-
-
 def bootstrap(
     statistic: Statistic,
     data: AdministrativeDataset,
@@ -552,9 +548,8 @@ def bootstrap(
     replicates: int = 1000,
     seed: int = 0,
     haldane: bool = False,
-    method: str = "percentile",
 ) -> EstimateWithCI:
-    """Nonparametric bootstrap interval for ``statistic`` within stratum ``x``.
+    """Nonparametric percentile bootstrap interval for ``statistic`` in stratum ``x``.
 
     Administrative rows are always resampled with replacement within the
     estimation scope; external respondents are resampled only for
@@ -566,12 +561,9 @@ def bootstrap(
     any other callable receives the resampled rows as a dataset (and a
     resampled external source when it takes one).
 
-    ``method`` selects the interval construction; only "percentile" is
-    implemented. Raises TooManyUndefinedError when more than half the
-    replicates are undefined.
+    Raises TooManyUndefinedError when more than half the replicates are
+    undefined.
     """
-    if method not in INTERVAL_METHODS:
-        raise ValueError(f"unknown interval method {method!r}; implemented: {INTERVAL_METHODS}")
     if replicates < 2:
         raise ValueError("bootstrap needs at least 2 replicates")
     if not 0.0 < level < 1.0:

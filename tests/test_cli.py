@@ -162,6 +162,59 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "estimands_witness1.jsonl").read_text()
 
+    def test_estimate_census_survey_strata_golden(self, capsys, strata_inputs):
+        code, out, _ = run(capsys, ESTIMATE_STRATA_ARGV)
+        assert code == 0
+        assert out == (GOLDEN / "estimate_census_survey_strata.csv").read_text()
+
+    def test_sensitivity_census_golden(self, capsys, strata_inputs):
+        code, out, _ = run(capsys, SENSITIVITY_ARGV)
+        assert code == 0
+        assert out == (GOLDEN / "sensitivity_census.csv").read_text()
+
+
+@pytest.fixture
+def strata_inputs(tmp_path, monkeypatch):
+    """Admin, census, survey and config files in the working directory.
+
+    Stratum ``zero`` has no majority force rows, so every estimate there is
+    undefined; ``tiny`` has so few rows that some replicates are undefined;
+    ``all`` is a stratum whose name matches the pooled label; ``b`` has no
+    survey respondents.
+    """
+    monkeypatch.chdir(tmp_path)
+    cells = {  # stratum: counts of (d=1,y=1), (d=1,y=0), (d=0,y=1), (d=0,y=0)
+        "a": (6, 14, 4, 16),
+        "b": (3, 9, 5, 23),
+        "tiny": (2, 3, 1, 4),
+        "zero": (5, 0, 0, 5),
+        "all": (4, 6, 3, 12),
+    }
+    admin = ["d,y,x"]
+    for x, counts in cells.items():
+        for (d, y), count in zip(((1, 1), (1, 0), (0, 1), (0, 0)), counts):
+            admin += [f"{d},{y},{x}"] * count
+    Path("admin.csv").write_text("\n".join(admin) + "\n")
+    Path("census.csv").write_text(
+        "stratum,count_d1,count_d0\na,300,700\nb,450,550\ntiny,20,80\nzero,50,50\nall,250,750\n"
+    )
+    survey = ["race,x"]
+    for x, minority, majority in (("a", 7, 13), ("tiny", 3, 9), ("zero", 5, 5), ("all", 4, 12)):
+        survey += [f"1,{x}"] * minority + [f"0,{x}"] * majority
+    Path("survey.csv").write_text("\n".join(survey) + "\n")
+    Path("config.json").write_text(json.dumps({"schema": {"survey": {"stratum_columns": ["x"]}}}))
+
+
+ESTIMATE_STRATA_ARGV = [
+    "estimate", "--admin", "admin.csv", "--census", "census.csv", "--survey", "survey.csv",
+    "--config", "config.json", "--strata", "all", "--bootstrap", "40", "--seed", "11",
+    "--format", "csv",
+]
+SENSITIVITY_ARGV = [
+    "sensitivity", "--admin", "admin.csv", "--census", "census.csv", "--lambda", "0.8",
+    "--citywide-p1", "0.367", "--bootstrap", "40", "--seed", "11", "--format", "csv",
+]
+
 
 @pytest.fixture
 def simulated_inputs(capsys, tmp_path, toy_model_file):
@@ -298,6 +351,26 @@ class TestEstimate:
         naive = [r for r in parsed if r["estimand"] == "naive-rr"][0]
         assert naive["point"] == "undefined"
         assert "ZeroDenominatorError" in naive["flags"]
+
+
+    def test_one_bootstrap_per_rendered_row(self, capsys, monkeypatch, strata_inputs):
+        import crrkit.cli
+        import crrkit.estimate
+
+        calls = []
+
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                calls.append(kwargs.get("x"))
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for module in (crrkit.cli, crrkit.estimate):
+            monkeypatch.setattr(module, "bootstrap", counting(module.bootstrap))
+        code, out, _ = run(capsys, ESTIMATE_STRATA_ARGV)
+        assert code == 0
+        assert len(calls) == len(parse_csv_rows(out))
 
 
 class TestSensitivity:
@@ -445,13 +518,47 @@ class TestConfigAndErrors:
     def test_unknown_stratum_is_exit_2(self, capsys, tmp_path):
         admin = tmp_path / "admin.csv"
         admin.write_text("d,y,x\n1,1,a\n0,0,a\n")
-        code, _, err = run(
-            capsys,
-            ["estimate", "--admin", str(admin), "--strata", "zz",
-             "--bootstrap", "50"],
+        census = tmp_path / "census.csv"
+        census.write_text("stratum,count_d1,count_d0\na,1,1\n")
+        commands = (
+            ["estimate"],
+            ["sensitivity", "--census", str(census), "--lambda", "0.5", "--citywide-p1", "0.3"],
         )
+        for command in commands:
+            for strata, message in (("zz", "zz"), ("", "names no stratum"), (",", "names no stratum")):
+                code, out, err = run(
+                    capsys,
+                    [*command, "--admin", str(admin), "--strata", strata, "--bootstrap", "50"],
+                )
+                assert code == 2, (command[0], strata)
+                assert message in err
+                assert out == ""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"bootstrap": "5"},
+            {"seed": "abc"},
+            {"strata": 5},
+            {"level": "0.9"},
+            {"bootstrap": 5.5},
+            {"haldane": "no"},
+            {"format": "xml"},
+        ],
+    )
+    def test_config_value_of_wrong_type_is_exit_2(self, capsys, tmp_path, config):
+        admin = tmp_path / "admin.csv"
+        admin.write_text("d,y,x\n1,1,a\n1,0,a\n0,1,a\n0,0,a\n")
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        code, out, err = run(
+            capsys, ["estimate", "--admin", str(admin), "--config", str(config_file)]
+        )
+        (key,) = config
         assert code == 2
-        assert "zz" in err
+        assert f"config key {key!r}" in err
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_missing_required_flag_is_exit_2(self, capsys):
         code, _, err = run(capsys, ["estimate"])

@@ -238,8 +238,6 @@ class TestBootstrap:
             bootstrap(naive_risk_ratio, SIMPLE, replicates=1, seed=1)
         with pytest.raises(ValueError):
             bootstrap(naive_risk_ratio, SIMPLE, level=1.0, seed=1)
-        with pytest.raises(ValueError):
-            bootstrap(naive_risk_ratio, SIMPLE, seed=1, method="bca")
 
     def test_census_external_constant_across_replicates(self):
         external = census({"all": 0.5})
