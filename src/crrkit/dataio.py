@@ -160,10 +160,23 @@ def _header_indices(header: Sequence[str], required: Sequence[str], path) -> dic
     return positions
 
 
-def _stratum_key(row: Sequence[str], indices: dict[str, int], columns: Sequence[str]) -> str:
+def _stratum_key(
+    row: Sequence[str], indices: dict[str, int], columns: Sequence[str], line: int
+) -> str:
+    """Stratum key of a row: its stratum values joined by STRATUM_SEPARATOR.
+
+    With two or more columns a value containing the separator would make
+    distinct strata share a key, so it is unparseable.
+    """
     if not columns:
         return POOLED_KEY
-    return STRATUM_SEPARATOR.join(row[indices[c]].strip() for c in columns)
+    values = [row[indices[c]].strip() for c in columns]
+    if len(values) > 1 and any(STRATUM_SEPARATOR in v for v in values):
+        raise UnparseableRowError(
+            f"stratum value contains {STRATUM_SEPARATOR!r}, which joins the stratum columns",
+            line,
+        )
+    return STRATUM_SEPARATOR.join(values)
 
 
 def _parse_binary(token: str, what: str, line: int) -> int:
@@ -215,6 +228,7 @@ def load_administrative(
                     dropped += 1
                     continue
                 force = _parse_binary(row[indices[config.force_column]], "force", line)
+                key = _stratum_key(row, indices, config.stratum_columns, line)
             except UnparseableRowError:
                 if not skip_unparseable:
                     raise
@@ -222,7 +236,7 @@ def load_administrative(
                 continue
             d_vals.append(race_map[race_token])
             y_vals.append(force)
-            x_vals.append(_stratum_key(row, indices, config.stratum_columns))
+            x_vals.append(key)
 
     dataset = AdministrativeDataset(
         d=np.array(d_vals, dtype=np.int8),
@@ -363,6 +377,7 @@ def load_survey(
                     parsed[name] = None if pos is None else _parse_item(row[pos], name, line)
                 pos = optional["contacts"]
                 parsed["contacts"] = None if pos is None else _parse_count(row[pos], line)
+                key = _stratum_key(row, indices, schema.stratum_columns, line)
             except UnparseableRowError:
                 if not skip_unparseable:
                     raise
@@ -371,7 +386,7 @@ def load_survey(
             columns["race"].append(race_map[race_token])
             for name, value in parsed.items():
                 columns[name].append(value)
-            columns["x"].append(_stratum_key(row, indices, schema.stratum_columns))
+            columns["x"].append(key)
 
     table = SurveyTable(**{k: tuple(v) for k, v in columns.items()})
     report = LoadReport(str(path), physical, table.n, dropped, unparseable)

@@ -14,19 +14,16 @@ bootstrap. Census externals are treated as fixed population quantities and
 are never resampled; survey externals are resampled respondent-by-respondent
 alongside the administrative rows.
 
-Every built-in statistic depends only on the scope's four record counts
-(n1, n0, f1, f0) and, for the adjusted ones, the external minority share p1;
-each formula is written once, on those counts. The bootstrap evaluates the
-built-ins on resampled counts: a replicate draws the same row indices (and,
-for survey sources, respondent indices) from the same random stream as a
-row-by-row resample would, and counts the drawn cells, so intervals are
-bit-identical to evaluating the statistic on resampled rows. User-supplied
-callables still receive resampled row datasets.
+Every statistic depends only on the scope's four record counts (n1, n0, f1,
+f0) and, for the adjusted ones, the external minority share p1; each formula
+is written once, on those counts. The bootstrap supports exactly these four
+statistics: a replicate draws row indices (and, for survey sources,
+respondent indices) from its own generator and counts the drawn cells, so
+intervals are bit-identical to evaluating the statistic on resampled rows.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -132,15 +129,6 @@ class AdministrativeDataset:
     def strata(self) -> list[str]:
         return self._strata_index.keys()
 
-    def restrict(self, x: str | None) -> "AdministrativeDataset":
-        """Rows in stratum ``x``; ``None`` keeps every row (pooled scope)."""
-        if x is None:
-            return self
-        return self.take(self._strata_index.rows(x))
-
-    def take(self, idx: np.ndarray) -> "AdministrativeDataset":
-        return AdministrativeDataset(self.d[idx], self.y[idx], self.x[idx])
-
 
 def _weighted_share(d: np.ndarray, weight: np.ndarray) -> float | None:
     """Weighted share of minority respondents, or None on zero total weight."""
@@ -180,30 +168,29 @@ class SurveyRespondents:
     def _strata_index(self) -> _StratumIndex:
         return _StratumIndex(self.x)
 
-    def restrict(self, x: str | None) -> "SurveyRespondents":
+    def _scope(self, x: str | None) -> tuple[np.ndarray, np.ndarray]:
+        """Race and weight of the respondents in stratum ``x`` (None = all), in row order."""
         if x is None:
-            return self
-        return self.take(self._strata_index.rows(x))
-
-    def take(self, idx: np.ndarray) -> "SurveyRespondents":
-        return SurveyRespondents(self.d[idx], self.x[idx], self.weight[idx])
+            return self.d, self.weight
+        rows = self._strata_index.rows(x)
+        return self.d[rows], self.weight[rows]
 
     def minority_share(self) -> float | None:
         """Weighted share of minority respondents, or None on zero total weight."""
         return _weighted_share(self.d, self.weight)
 
     def shares_by_stratum(self) -> dict[str, float | None]:
-        return {key: self.restrict(key).minority_share() for key in self._strata_index.keys()}
+        return {key: _weighted_share(*self._scope(key)) for key in self._strata_index.keys()}
 
 
 @dataclass(frozen=True)
 class ExternalRaceDistribution:
     """Per-stratum minority shares among encounters, from a census or survey source.
 
-    ``kind`` decides bootstrap behaviour: census-fixed values are population
-    quantities and never resampled; survey-resampled values are recomputed
-    from a respondent resample on every replicate. An optional mixture pulls
-    every local share toward a common citywide share:
+    A source with ``respondents`` is a survey: its shares are recomputed from
+    a respondent resample on every bootstrap replicate. Any other source is a
+    census of fixed population quantities, never resampled. An optional
+    mixture pulls every local share toward a common citywide share:
 
         p1'(x) = mix_lambda * p1(x) + (1 - mix_lambda) * mix_citywide
 
@@ -211,7 +198,6 @@ class ExternalRaceDistribution:
     bootstrapping.
     """
 
-    kind: str
     shares: Mapping[str, float | None]
     counts: Mapping[str, tuple[float, float]] | None = None
     respondents: SurveyRespondents | None = None
@@ -219,8 +205,6 @@ class ExternalRaceDistribution:
     mix_citywide: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (CENSUS_FIXED, SURVEY_RESAMPLED):
-            raise ValueError(f"unknown external source kind: {self.kind!r}")
         if not 0.0 <= self.mix_lambda <= 1.0:
             raise ValueError("mix_lambda must lie in [0, 1]")
         if self.mix_citywide is not None and not 0.0 < self.mix_citywide < 1.0:
@@ -237,21 +221,22 @@ class ExternalRaceDistribution:
         for key, (c1, c0) in counts.items():
             total = c1 + c0
             shares[key] = (c1 / total) if total > 0 else None
-        return cls(kind=CENSUS_FIXED, shares=shares, counts=dict(counts))
+        return cls(shares=shares, counts=dict(counts))
 
     @classmethod
     def census_from_shares(cls, shares: Mapping[str, float | None]) -> "ExternalRaceDistribution":
-        return cls(kind=CENSUS_FIXED, shares=dict(shares))
+        return cls(shares=dict(shares))
 
     @classmethod
     def from_survey(cls, respondents: SurveyRespondents) -> "ExternalRaceDistribution":
-        return cls(
-            kind=SURVEY_RESAMPLED,
-            shares=respondents.shares_by_stratum(),
-            respondents=respondents,
-        )
+        return cls(shares=respondents.shares_by_stratum(), respondents=respondents)
 
     # -- lookups ---------------------------------------------------------------
+
+    @property
+    def kind(self) -> str:
+        """``SURVEY_RESAMPLED`` when built from respondents, else ``CENSUS_FIXED``."""
+        return CENSUS_FIXED if self.respondents is None else SURVEY_RESAMPLED
 
     def strata(self) -> list[str]:
         return sorted(self.shares)
@@ -286,43 +271,18 @@ class ExternalRaceDistribution:
 
     # -- bootstrap support ------------------------------------------------------
 
-    def _resamples_respondents(self) -> bool:
-        return self.kind == SURVEY_RESAMPLED and self.respondents is not None
-
-    def resampled(self, rng: np.random.Generator, x: str | None = None) -> "ExternalRaceDistribution":
-        """One bootstrap draw of this distribution, scoped to stratum ``x``.
-
-        Census-fixed sources return self unchanged. Survey sources resample
-        the scoped respondents with replacement and recompute shares; the
-        mixture parameters carry over.
-        """
-        if not self._resamples_respondents():
-            return self
-        scoped = self.respondents.restrict(x)
-        if scoped.n == 0:
-            return replace(self, shares={}, respondents=scoped)
-        idx = rng.integers(0, scoped.n, size=scoped.n)
-        resampled = scoped.take(idx)
-        return ExternalRaceDistribution(
-            kind=SURVEY_RESAMPLED,
-            shares=resampled.shares_by_stratum(),
-            respondents=resampled,
-            mix_lambda=self.mix_lambda,
-            mix_citywide=self.mix_citywide,
-        )
-
     def _share_sampler(self, x: str | None) -> Callable[[np.random.Generator], float | None]:
-        """Per-replicate p1 for scope ``x``, equal to ``resampled(rng, x).p1_for(x)``.
+        """Per-replicate p1 for scope ``x``, mixture applied.
 
-        The scoped respondents are gathered once; each call draws the same
-        respondent indices from ``rng`` and recomputes only this scope's
-        share, with the mixture reapplied.
+        Census sources return their fixed share. Survey sources gather the
+        scoped respondents once; each call draws ``m`` respondent indices
+        with replacement from ``rng`` and recomputes this scope's share.
         """
-        if not self._resamples_respondents():
+        if self.respondents is None:
             p1 = self.p1_for(x)
             return lambda rng: p1
-        scoped = self.respondents.restrict(x)
-        d, weight, m = scoped.d, scoped.weight, scoped.n
+        d, weight = self.respondents._scope(x)
+        m = len(d)
         if m == 0:
             p1 = self._mixed(None)
             return lambda rng: p1
@@ -340,8 +300,8 @@ def sensitivity_mixture(
     """Blend local shares with a citywide share: lambda * local + (1 - lambda) * citywide.
 
     lam = 1 reproduces the input distribution; lam = 0 assigns every stratum
-    the citywide share. Source kind is preserved, so survey distributions keep
-    resampling under the bootstrap with the mixture reapplied per replicate.
+    the citywide share. Survey respondents are kept, so survey distributions
+    keep resampling under the bootstrap with the mixture reapplied per replicate.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
@@ -487,55 +447,9 @@ class EstimateWithCI:
 
 Statistic = Callable[..., float]
 
-
-def _bind_statistic(statistic: Statistic, haldane: bool):
-    """Adapt a statistic to a uniform (data, external, x) call.
-
-    Accepts the two supported shapes: (data, x=...) and
-    (data, external, x=...); a keyword-only ``haldane`` is forwarded when the
-    statistic declares one.
-    """
-    params = inspect.signature(statistic).parameters
-    kwargs = {"haldane": haldane} if "haldane" in params else {}
-    wants_external = "external" in params
-
-    def call(data, external, x):
-        if wants_external:
-            return statistic(data, external, x, **kwargs)
-        return statistic(data, x, **kwargs)
-
-    return call
-
-
-def _count_replicates(
-    form, reads_share: bool, cells: np.ndarray, external, x, haldane: bool
-) -> tuple[float, Callable[[np.random.Generator], float]]:
-    """Point estimate and replicate function of a built-in, on counts."""
-    point = form(_counts(cells), external.p1_for(x) if reads_share else None, x, haldane)
-    share = external._share_sampler(x) if reads_share else lambda rng: None
-    n = len(cells)
-
-    def replicate(rng: np.random.Generator) -> float:
-        idx = rng.integers(0, n, size=n)
-        counts = _counts(cells[idx])
-        return form(counts, share(rng), x, haldane)
-
-    return point, replicate
-
-
-def _row_replicates(
-    statistic: Statistic, scoped: AdministrativeDataset, external, x, haldane: bool
-) -> tuple[float, Callable[[np.random.Generator], float]]:
-    """Point estimate and replicate function of a user callable, on rows."""
-    call = _bind_statistic(statistic, haldane)
-    point = call(scoped, external, x)
-
-    def replicate(rng: np.random.Generator) -> float:
-        idx = rng.integers(0, scoped.n, size=scoped.n)
-        boot_external = external.resampled(rng, x) if external is not None else None
-        return call(scoped.take(idx), boot_external, x)
-
-    return point, replicate
+#: Upper bound on ``replicates``: every replicate owns a spawned seed sequence
+#: (a few hundred bytes each), all allocated before the first draw.
+MAX_REPLICATES = 100_000
 
 
 def bootstrap(
@@ -551,21 +465,31 @@ def bootstrap(
 ) -> EstimateWithCI:
     """Nonparametric percentile bootstrap interval for ``statistic`` in stratum ``x``.
 
-    Administrative rows are always resampled with replacement within the
-    estimation scope; external respondents are resampled only for
-    survey-resampled sources. Replicate sub-seeds derive deterministically
-    from ``seed`` by replicate index, and results merge in replicate order,
-    so a parallel runner would reproduce the serial intervals exactly.
+    ``statistic`` is one of the built-ins ``naive_risk_difference``,
+    ``naive_risk_ratio``, ``bias_factor`` and ``crr_identified``; the last two
+    need ``external``. Each replicate resamples the scope's administrative
+    rows with replacement and evaluates the statistic on their counts; for a
+    survey source it then resamples the scoped respondents and recomputes
+    the share (census shares stay fixed). Replicate sub-seeds derive
+    deterministically from ``seed`` by replicate index, and results merge in
+    replicate order, so a parallel runner would reproduce the serial
+    intervals exactly.
 
-    The built-in statistics are evaluated on the counts of each resample;
-    any other callable receives the resampled rows as a dataset (and a
-    resampled external source when it takes one).
-
-    Raises TooManyUndefinedError when more than half the replicates are
-    undefined.
+    Raises ValueError for any other statistic, a missing external, or
+    ``replicates`` outside [2, MAX_REPLICATES]; TooManyUndefinedError when
+    more than half the replicates are undefined.
     """
+    try:
+        form, reads_share = _COUNT_FORMS[statistic]
+    except (KeyError, TypeError):
+        names = ", ".join(f.__name__ for f in _COUNT_FORMS)
+        raise ValueError(f"bootstrap supports only the built-in statistics {names}") from None
+    if reads_share and external is None:
+        raise ValueError(f"{statistic.__name__} needs an external race distribution")
     if replicates < 2:
         raise ValueError("bootstrap needs at least 2 replicates")
+    if replicates > MAX_REPLICATES:
+        raise ValueError(f"bootstrap allows at most {MAX_REPLICATES} replicates")
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
     cells = data._scope_cells(x)
@@ -574,17 +498,16 @@ def bootstrap(
             raise UnknownStratumError(f"stratum {x!r} has no administrative rows")
         raise MissingGroupError("administrative dataset is empty")
 
-    count_form = _COUNT_FORMS.get(statistic)
-    if count_form is None:
-        point, replicate = _row_replicates(statistic, data.restrict(x), external, x, haldane)
-    else:
-        point, replicate = _count_replicates(*count_form, cells, external, x, haldane)
-
+    n = len(cells)
+    point = form(_counts(cells), external.p1_for(x) if reads_share else None, x, haldane)
+    share = external._share_sampler(x) if reads_share else lambda rng: None
     values: list[float] = []
     undefined = 0
     for child in np.random.SeedSequence(seed).spawn(replicates):
+        rng = np.random.default_rng(child)
+        idx = rng.integers(0, n, size=n)
         try:
-            values.append(replicate(np.random.default_rng(child)))
+            values.append(form(_counts(cells[idx]), share(rng), x, haldane))
         except EstimandUndefinedError:
             undefined += 1
     if 2 * undefined > replicates:

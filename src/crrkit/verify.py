@@ -295,6 +295,8 @@ def run_verification(
     perturb: str | None = None,
 ) -> list[CheckResult]:
     """Run the full verification suite; order is stable for reporting."""
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     results = check_sign_reversal_witnesses(perturb)
     results.append(check_sign_consistency(seed, draws))
     results.extend(check_paradox_search(seed, draws))

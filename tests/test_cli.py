@@ -441,6 +441,14 @@ class TestVerify:
         for seed in range(10):
             assert check_sign_consistency(seed, draws=2000).passed
 
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    def test_draws_below_one_is_exit_2(self, capsys, draws):
+        code, out, err = run(capsys, ["verify", "--draws", draws, "--oracle-n", "5000"])
+        assert code == 2
+        assert "draws must be at least 1" in err
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_json_lines_format(self, capsys):
         code, out, _ = run(
             capsys,
@@ -533,6 +541,30 @@ class TestConfigAndErrors:
                 assert code == 2, (command[0], strata)
                 assert message in err
                 assert out == ""
+
+    def test_separator_in_composite_stratum_is_exit_2(self, capsys, tmp_path):
+        admin = tmp_path / "admin.csv"
+        admin.write_text("d,y,s1,s2\n1,1,a|b,c\n0,0,a,b|c\n1,0,a,b\n0,1,a,b\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schema": {"stratum_columns": ["s1", "s2"]}}))
+        code, out, err = run(
+            capsys,
+            ["estimate", "--admin", str(admin), "--config", str(config), "--strata", "all",
+             "--bootstrap", "50"],
+        )
+        assert code == 2
+        assert "line 2" in err and "stratum value" in err
+        assert out == ""
+
+    def test_bootstrap_above_cap_is_exit_2(self, capsys, tmp_path):
+        admin = tmp_path / "admin.csv"
+        admin.write_text("d,y,x\n1,1,a\n1,0,a\n0,1,a\n0,0,a\n")
+        code, out, err = run(
+            capsys, ["estimate", "--admin", str(admin), "--bootstrap", "100001"]
+        )
+        assert code == 2
+        assert "at most 100000 replicates" in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "config",

@@ -124,6 +124,30 @@ class TestAdministrativeLoader:
         data, _ = load_administrative(path, schema)
         assert list(data.x) == ["18-24|m"]
 
+    def test_separator_in_composite_stratum_value(self, tmp_path):
+        # "a|b" + "c" and "a" + "b|c" would both join to "a|b|c"
+        schema = SchemaConfig(
+            race_column="race",
+            race_map={"B": 1, "W": 0},
+            force_column="force",
+            stratum_columns=("s1", "s2"),
+        )
+        path = write(
+            tmp_path, "admin.csv", "race,force,s1,s2\nB,1,x,y\nB,1,a|b,c\nW,0,a,b|c\n"
+        )
+        with pytest.raises(UnparseableRowError, match="stratum value") as excinfo:
+            load_administrative(path, schema)
+        assert excinfo.value.line == 3
+        data, report = load_administrative(path, schema, skip_unparseable=True)
+        assert list(data.x) == ["x|y"]
+        assert report.n_unparseable == 2
+
+    def test_separator_in_single_stratum_value_kept(self, tmp_path):
+        # one column cannot collide; census keys name composite strata this way
+        path = write(tmp_path, "admin.csv", "race,force,precinct\nBLACK,1,7|north\n")
+        data, _ = load_administrative(path, CITY_SCHEMA)
+        assert list(data.x) == ["7|north"]
+
     def test_loader_determinism(self, tmp_path):
         path = write(
             tmp_path, "admin.csv", "race,force,precinct\nBLACK,1,7\nWHITE,0,9\n"
@@ -309,6 +333,24 @@ class TestSurveyLoader:
         external = derive_survey_distribution(table, "all")
         assert external.p1_for("young") == 0.5
         assert external.p1_for("old") == 0.0
+
+    def test_separator_in_composite_survey_stratum_value(self, tmp_path):
+        schema = SchemaConfig(
+            survey=SurveySchema(
+                race_column="race",
+                race_map={"B": 1, "W": 0},
+                stratum_columns=("age", "sex"),
+            ),
+        )
+        path = write(
+            tmp_path, "survey.csv", "race,age,sex\nB,young,f\nW,young|old,f\nW,old,f|m\n"
+        )
+        with pytest.raises(UnparseableRowError, match="stratum value") as excinfo:
+            load_survey(path, schema)
+        assert excinfo.value.line == 3
+        table, report = load_survey(path, schema, skip_unparseable=True)
+        assert table.x == ("young|f",)
+        assert report.n_unparseable == 2
 
 
 class TestRoundTrips:

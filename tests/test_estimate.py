@@ -1,5 +1,8 @@
 """Estimator tests: point estimators, bootstrap contract, strata, sensitivity."""
 
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from crrkit.errors import (
     ZeroDenominatorError,
 )
 from crrkit.estimate import (
+    MAX_REPLICATES,
     AdministrativeDataset,
     EstimateWithCI,
     ExternalRaceDistribution,
@@ -186,12 +190,9 @@ class TestIdentified:
 
 class TestBootstrap:
     def test_degenerate_data_collapses_interval(self):
-        rows = [(1, 1, "all")] * 10
-
-        def mean_force(data, x=None):
-            return float(np.mean(data.restrict(x).y))
-
-        est = bootstrap(mean_force, dataset(rows), replicates=200, seed=5)
+        # every record ends in force, so every resample with both races has RR 1
+        rows = [(1, 1, "all")] * 10 + [(0, 1, "all")] * 10
+        est = bootstrap(naive_risk_ratio, dataset(rows), replicates=200, seed=5)
         assert est.lo == est.point == est.hi == 1.0
         assert est.undefined_replicates == 0
 
@@ -212,16 +213,12 @@ class TestBootstrap:
         assert est.lo <= est.hi
 
     def test_too_many_undefined(self):
-        calls = {"n": 0}
-
-        def flaky(data, x=None):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                return 1.0
-            raise MissingGroupError("synthetic failure")
-
+        # the point (RR 2) is defined, but a resample of three rows misses the
+        # minority row or the forced majority row with probability 15/27
+        data = dataset([(1, 1, "all"), (0, 1, "all"), (0, 0, "all")])
+        assert naive_risk_ratio(data) == 2.0
         with pytest.raises(TooManyUndefinedError):
-            bootstrap(flaky, SIMPLE, replicates=50, seed=1)
+            bootstrap(naive_risk_ratio, data, replicates=2000, seed=1)
 
     def test_point_estimate_errors_propagate(self):
         with pytest.raises(ZeroDenominatorError):
@@ -239,18 +236,40 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap(naive_risk_ratio, SIMPLE, level=1.0, seed=1)
 
+    def test_replicates_capped(self):
+        with pytest.raises(ValueError, match=f"at most {MAX_REPLICATES}"):
+            bootstrap(naive_risk_ratio, SIMPLE, replicates=MAX_REPLICATES + 1, seed=1)
+
+    @pytest.mark.parametrize(
+        "statistic, external, message",
+        [
+            (lambda data, x=None: 1.0, None, "built-in statistics naive_risk_difference"),
+            (functools.partial(naive_risk_ratio, haldane=True), None, "crr_identified"),
+            (np.mean, None, "built-in statistics"),
+            (bias_factor, None, "bias_factor needs an external"),
+            (crr_identified, None, "crr_identified needs an external"),
+        ],
+        ids=["lambda", "partial", "numpy", "bias_factor-no-external", "crr-no-external"],
+    )
+    def test_only_built_ins_with_their_inputs(self, statistic, external, message):
+        data = dataset([(1, 1, "all"), (1, 0, "all"), (0, 1, "all"), (0, 0, "all")])
+        with pytest.raises(ValueError, match=message):
+            bootstrap(statistic, data, external, replicates=10, seed=1)
+
     def test_census_external_constant_across_replicates(self):
-        external = census({"all": 0.5})
+        sampler = census({"all": 0.5})._share_sampler("all")
         rng = np.random.default_rng(0)
-        assert external.resampled(rng) is external
+        state = rng.bit_generator.state
+        assert {sampler(rng) for _ in range(20)} == {0.5}
+        assert rng.bit_generator.state == state  # draws nothing from the stream
 
     def test_survey_external_varies_across_replicates(self):
         respondents = SurveyRespondents.from_rows(
             [(1, "all", 1.0)] * 30 + [(0, "all", 1.0)] * 70
         )
-        external = ExternalRaceDistribution.from_survey(respondents)
+        sampler = ExternalRaceDistribution.from_survey(respondents)._share_sampler("all")
         rng = np.random.default_rng(1)
-        shares = {external.resampled(rng).p1_for("all") for _ in range(20)}
+        shares = {sampler(rng) for _ in range(20)}
         assert len(shares) > 1
         assert all(abs(s - 0.3) < 0.25 for s in shares)
 
@@ -282,7 +301,8 @@ class TestBootstrap:
         for child in reversed(children):
             rng = np.random.default_rng(child)
             idx = rng.integers(0, admin.n, size=admin.n)
-            values.append(naive_risk_ratio(admin.take(idx)))
+            resample = AdministrativeDataset(admin.d[idx], admin.y[idx], admin.x[idx])
+            values.append(naive_risk_ratio(resample))
         lo, hi = np.quantile(values, [0.025, 0.975])
         assert (float(lo), float(hi)) == (est.lo, est.hi)
 
@@ -302,6 +322,23 @@ class TestBootstrap:
             assert (res.adjusted.hi - res.adjusted.lo) > res.adjusted.point
 
 
+def in_scope(column, x):
+    """Row mask of stratum ``x`` on an object stratum column; None keeps every row."""
+    return np.ones(len(column), dtype=bool) if x is None else column == x
+
+
+def resampled_survey(external, x, rng):
+    """The survey source rebuilt from a with-replacement draw of its scoped respondents."""
+    resp = external.respondents
+    keep = in_scope(resp.x, x)
+    d, xs, weight = resp.d[keep], resp.x[keep], resp.weight[keep]
+    if len(d):
+        idx = rng.integers(0, len(d), size=len(d))
+        d, xs, weight = d[idx], xs[idx], weight[idx]
+    drawn = ExternalRaceDistribution.from_survey(SurveyRespondents(d, xs, weight))
+    return replace(drawn, mix_lambda=external.mix_lambda, mix_citywide=external.mix_citywide)
+
+
 def row_path_bootstrap(statistic, data, external=None, *, x=None, level=0.95,
                        replicates=1000, seed=0, haldane=False):
     """Reference bootstrap that resamples rows and evaluates the row-level statistic.
@@ -309,7 +346,8 @@ def row_path_bootstrap(statistic, data, external=None, *, x=None, level=0.95,
     Same stream as ``bootstrap``: per replicate, row indices and then (for
     survey sources) respondent indices from the replicate's generator.
     """
-    scoped = data.restrict(x)
+    keep = in_scope(data.x, x)
+    d, y, xs = data.d[keep], data.y[keep], data.x[keep]
     wants_external = statistic in (bias_factor, crr_identified)
 
     def call(rows, ext):
@@ -317,13 +355,15 @@ def row_path_bootstrap(statistic, data, external=None, *, x=None, level=0.95,
             return statistic(rows, ext, x, haldane=haldane)
         return statistic(rows, x, haldane=haldane)
 
-    point = call(scoped, external)
+    point = call(AdministrativeDataset(d, y, xs), external)
     values, undefined = [], 0
     for child in np.random.SeedSequence(seed).spawn(replicates):
         rng = np.random.default_rng(child)
-        idx = rng.integers(0, scoped.n, size=scoped.n)
-        boot_data = scoped.take(idx)
-        boot_external = external.resampled(rng, x) if external is not None else None
+        idx = rng.integers(0, len(d), size=len(d))
+        boot_data = AdministrativeDataset(d[idx], y[idx], xs[idx])
+        boot_external = external
+        if external is not None and external.respondents is not None:
+            boot_external = resampled_survey(external, x, rng)
         try:
             values.append(call(boot_data, boot_external))
         except EstimandUndefinedError:
@@ -526,10 +566,12 @@ class TestSensitivityMixture:
         external = ExternalRaceDistribution.from_survey(respondents)
         mixed = sensitivity_mixture(external, 0.5, 0.8)
         assert mixed.kind == "survey-resampled"
-        rng = np.random.default_rng(3)
-        redrawn = mixed.resampled(rng)
-        local = redrawn.respondents.minority_share()
-        assert redrawn.p1_for("all") == pytest.approx(0.8 * local + 0.2 * 0.5, rel=1e-12)
+        assert sensitivity_mixture(census({"all": 0.2}), 0.5, 0.8).kind == "census-fixed"
+        redrawn = mixed._share_sampler("all")(np.random.default_rng(3))
+        # the same respondent draw, made by hand: unit weights, so the share is a mean
+        idx = np.random.default_rng(3).integers(0, respondents.n, size=respondents.n)
+        local = float(np.mean(respondents.d[idx]))
+        assert redrawn == pytest.approx(0.8 * local + 0.2 * 0.5, rel=1e-12)
 
     def test_parameter_validation(self):
         external = census({"a": 0.5})
@@ -593,6 +635,14 @@ class TestExternalDistribution:
         with pytest.raises(ValueError):
             SurveyRespondents.from_rows([(1, "s", -1.0)])
 
+    def test_kind_follows_respondents(self):
+        respondents = SurveyRespondents.from_rows([(1, "s", 1.0), (0, "s", 1.0)])
+        assert ExternalRaceDistribution.from_survey(respondents).kind == "survey-resampled"
+        assert ExternalRaceDistribution(shares={"s": 0.5}).kind == "census-fixed"
+        assert census({"s": 0.5}).kind == "census-fixed"
+        with pytest.raises(TypeError):
+            ExternalRaceDistribution(kind="survey-resampled", shares={"s": 0.5})
+
 
 class TestDatasets:
     def test_indicators_outside_zero_one_rejected(self):
@@ -601,10 +651,10 @@ class TestDatasets:
         with pytest.raises(ValueError, match="y values"):
             dataset([(1, -1, "a")])
 
-    def test_restrict_keeps_row_order(self):
+    def test_scope_cells_keep_row_order(self):
         data = dataset([(1, 0, "b"), (0, 1, "a"), (0, 0, "b"), (1, 1, "a"), (1, 1, "b")])
-        scoped = data.restrict("b")
-        assert scoped.d.tolist() == [1, 0, 1]
-        assert scoped.y.tolist() == [0, 0, 1]
-        assert data.restrict("zz").n == 0
+        # cell code 2*d + y of the rows in stratum "b", in file order
+        assert data._scope_cells("b").tolist() == [2, 0, 3]
+        assert data._scope_cells(None).tolist() == [2, 1, 0, 3, 3]
+        assert len(data._scope_cells("zz")) == 0
         assert data.strata() == ["a", "b"]
