@@ -651,7 +651,7 @@ class TestDatasets:
         with pytest.raises(ValueError, match="y values"):
             dataset([(1, -1, "a")])
 
-    def test_scope_cells_keep_row_order(self):
+    def test_restrict_keeps_row_order(self):
         data = dataset([(1, 0, "b"), (0, 1, "a"), (0, 0, "b"), (1, 1, "a"), (1, 1, "b")])
         # cell code 2*d + y of the rows in stratum "b", in file order
         assert data._scope_cells("b").tolist() == [2, 0, 3]
