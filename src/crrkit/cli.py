@@ -100,12 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     def estimation_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--admin", help="administrative records CSV")
         p.add_argument("--census", help="census counts CSV (stratum,count_d1,count_d0)")
-        p.add_argument("--survey", help="survey microdata CSV")
-        p.add_argument(
-            "--survey-mode",
-            choices=dataio.SURVEY_MODES,
-            help="survey subset/weighting rule (default all)",
-        )
         p.add_argument(
             "--strata",
             help='comma-separated stratum keys, or "all" for every stratum in the data',
@@ -121,6 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="naive and selection-adjusted risk ratios from data")
     common(p)
     estimation_flags(p)
+    p.add_argument("--survey", help="survey microdata CSV")
+    p.add_argument(
+        "--survey-mode",
+        choices=dataio.SURVEY_MODES,
+        help="survey subset/weighting rule (default all)",
+    )
 
     p = sub.add_parser(
         "sensitivity",
@@ -185,13 +185,6 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         if getattr(args, name, None) is None:
             flag = "--" + name.replace("_", "-")
             raise DataError(f"{args.subcommand}: {flag} is required (flag or config)")
-
-
-def _schema(config: dict) -> dataio.SchemaConfig:
-    try:
-        return dataio.SchemaConfig.from_dict(config.get("schema", {}))
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"bad schema config: {exc}") from exc
 
 
 def _fresh_seeds(seed: int, count: int) -> list[int]:
@@ -273,22 +266,25 @@ def cmd_estimands(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_externals(
-    args: argparse.Namespace, schema: dataio.SchemaConfig
-) -> list[tuple[str, ExternalRaceDistribution]]:
-    """External sources named by a flag token: census and/or survey:<mode>."""
+def _load_inputs(
+    args: argparse.Namespace, config: dict
+) -> tuple[AdministrativeDataset, dataio.LoadReport, list[tuple[str, ExternalRaceDistribution]]]:
+    """The admin records and the labelled external sources: census, then survey-<mode>."""
+    schema = dataio.SchemaConfig.from_dict(config.get("schema"))  # malformed: ValueError, exit 2
+    data, admin_rep = dataio.load_administrative(args.admin, schema)
+    _note(admin_rep.summary())
     externals: list[tuple[str, ExternalRaceDistribution]] = []
     if args.census:
         external, load_rep = dataio.load_census(args.census)
         _note(load_rep.summary())
         externals.append(("census", external))
-    if args.survey:
+    if getattr(args, "survey", None):  # sensitivity takes a census only
         table, load_rep = dataio.load_survey(args.survey, schema)
         _note(load_rep.summary())
         externals.append(
             (f"survey-{args.survey_mode}", dataio.derive_survey_distribution(table, args.survey_mode))
         )
-    return externals
+    return data, admin_rep, externals
 
 
 def _parse_strata(args: argparse.Namespace, data: AdministrativeDataset) -> list[str] | None:
@@ -347,10 +343,7 @@ def _add_rows(
 
 def cmd_estimate(args: argparse.Namespace, config: dict) -> int:
     _require(args, "admin")
-    schema = _schema(config)
-    data, load_rep = dataio.load_administrative(args.admin, schema)
-    _note(load_rep.summary())
-    externals = _load_externals(args, schema)
+    data, load_rep, externals = _load_inputs(args, config)
     strata = _parse_strata(args, data)
 
     rep = Report("estimate")
@@ -398,11 +391,7 @@ def cmd_estimate(args: argparse.Namespace, config: dict) -> int:
 
 def cmd_sensitivity(args: argparse.Namespace, config: dict) -> int:
     _require(args, "admin", "census", "lam", "citywide_p1")
-    schema = _schema(config)
-    data, load_rep = dataio.load_administrative(args.admin, schema)
-    _note(load_rep.summary())
-    external, census_rep = dataio.load_census(args.census)
-    _note(census_rep.summary())
+    data, _, [(_, external)] = _load_inputs(args, config)
     mixed = sensitivity_mixture(external, args.citywide_p1, args.lam)
     keys = data.strata() if args.strata is None else _parse_strata(args, data)
 

@@ -16,21 +16,24 @@ Three documented comma-delimited input schemas feed the estimator:
                           respondent from modes that read them; nothing is
                           imputed.
 
-The schema config is a flat JSON object (see DEFAULT_SCHEMA); the default
-matches the simulator's administrative export (columns d, y, x), so exported
-fixtures round-trip with no config at all.
+The schema config is a JSON object, type-checked by SchemaConfig.from_dict;
+the default matches the simulator's administrative export (columns d, y, x),
+so exported fixtures round-trip with no config at all.
 
-Loaders are single-pass and deterministic: identical bytes produce identical
-datasets, and the returned objects are immutable and freely shareable.
+The three loaders share one CSV reader, ``_read_rows``, which checks the
+header and row widths and counts rows loaded, dropped and unparseable; each
+loader supplies the parse of one row. Loaders are single-pass and
+deterministic: identical bytes produce identical datasets, and the returned
+objects are immutable and freely shareable.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -69,6 +72,15 @@ POOLED_KEY = "all"
 STRATUM_SEPARATOR = "|"
 
 
+def _check_race_map(race_map: object, where: str) -> None:
+    """A race map is a non-empty mapping whose values are the integers 0 and 1."""
+    if not isinstance(race_map, Mapping) or not race_map:
+        raise ValueError(f"{where} must be a non-empty object, got {race_map!r}")
+    bad = {k: v for k, v in race_map.items() if type(v) is not int or v not in (0, 1)}
+    if bad:
+        raise ValueError(f"{where} values must be 0 or 1, got {bad}")
+
+
 @dataclass(frozen=True)
 class SurveySchema:
     race_column: str = "race"
@@ -79,6 +91,10 @@ class SurveySchema:
     contacts_column: str = "contacts"
     large_metro_column: str = "large_metro"
     stratum_columns: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.race_map is not None:
+            _check_race_map(self.race_map, "schema.survey.race_map")
 
 
 @dataclass(frozen=True)
@@ -92,38 +108,41 @@ class SchemaConfig:
     survey: SurveySchema = field(default_factory=SurveySchema)
 
     def __post_init__(self) -> None:
-        if not self.race_map:
-            raise ValueError("race_map is mandatory and must be non-empty")
-        bad = {k: v for k, v in self.race_map.items() if v not in (0, 1)}
-        if bad:
-            raise ValueError(f"race_map values must be 0 or 1, got {bad}")
+        _check_race_map(self.race_map, "schema.race_map")
 
     def survey_race_map(self) -> Mapping[str, int]:
         return self.survey.race_map if self.survey.race_map is not None else self.race_map
 
     @classmethod
-    def from_dict(cls, record: Mapping) -> "SchemaConfig":
-        record = dict(record)
-        survey_record = dict(record.pop("survey", {}))
-        survey_kwargs = {}
-        for key in SurveySchema.__dataclass_fields__:
-            if key in survey_record:
-                value = survey_record.pop(key)
-                if key == "stratum_columns":
-                    value = tuple(value)
-                survey_kwargs[key] = value
-        if survey_record:
-            raise ValueError(f"unknown survey schema keys: {sorted(survey_record)}")
-        kwargs = {}
-        for key in ("race_column", "race_map", "force_column", "stratum_columns"):
-            if key in record:
-                value = record.pop(key)
-                if key == "stratum_columns":
-                    value = tuple(value)
-                kwargs[key] = value
-        if record:
-            raise ValueError(f"unknown schema keys: {sorted(record)}")
-        return cls(survey=SurveySchema(**survey_kwargs), **kwargs)
+    def from_dict(cls, record: object) -> "SchemaConfig":
+        """The config's JSON ``schema`` value (null: the default); ValueError if malformed."""
+        return cls(**_schema_fields(cls, {} if record is None else record, "schema"))
+
+
+def _schema_fields(cls: type, record: object, where: str) -> dict:
+    """Checked constructor arguments of a schema class from a JSON object.
+
+    Column names are strings, ``stratum_columns`` a list of strings, and a
+    ``survey`` object gives the SurveySchema; a null value keeps the default.
+    Race maps are checked when the class is built.
+    """
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} must be an object, got {record!r}")
+    unknown = sorted(set(record) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {unknown}")
+    kwargs = {key: value for key, value in record.items() if value is not None}
+    for key, value in kwargs.items():
+        name = f"{where}.{key}"
+        if key == "survey":
+            kwargs[key] = SurveySchema(**_schema_fields(SurveySchema, value, name))
+        elif key == "stratum_columns":
+            if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+                raise ValueError(f"{name} must be a list of strings, got {value!r}")
+            kwargs[key] = tuple(value)
+        elif key != "race_map" and not isinstance(value, str):
+            raise ValueError(f"{name} must be a string, got {value!r}")
+    return kwargs
 
 
 DEFAULT_SCHEMA = SchemaConfig()
@@ -147,17 +166,59 @@ class LoadReport:
         )
 
 
-def _open_reader(path: str | Path):
-    handle = open(path, newline="", encoding="utf-8-sig")  # tolerate a byte-order mark
-    return handle, csv.reader(handle)
+def _read_rows(
+    path: str | Path,
+    required: Sequence[str],
+    parse: Callable[[list[str], dict[str, int], int], tuple | None],
+    skip_unparseable: bool = False,
+) -> tuple[list, LoadReport]:
+    """Parse each data row of a CSV file with ``parse(row, indices, line)``.
 
+    ``indices`` maps every header name to its position and ``line`` is the
+    row's physical line number. ``parse`` returns the row's values, or None
+    for a dropped row (unmapped race). A row of the wrong width, or one that
+    ``parse`` rejects with UnparseableRowError, stops the load; with
+    ``skip_unparseable`` it is counted and skipped instead. Text the csv
+    module cannot split into fields always stops the load.
 
-def _header_indices(header: Sequence[str], required: Sequence[str], path) -> dict[str, int]:
-    positions = {name.strip(): i for i, name in enumerate(header)}
-    missing = [name for name in required if name not in positions]
-    if missing:
-        raise MissingColumnError(f"{path}: missing columns {missing}; header was {header}")
-    return positions
+    The loaded rows' values come back in one flat list, row after row, so
+    column ``i`` of rows with ``k`` values is ``values[i::k]``; a tuple per
+    row would hold several times the memory of the columns.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:  # tolerate a byte-order mark
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise MissingColumnError(f"{path}: file is empty, expected a header row")
+            indices = {name.strip(): i for i, name in enumerate(header)}
+            missing = [name for name in required if name not in indices]
+            if missing:
+                raise MissingColumnError(f"{path}: missing columns {missing}; header was {header}")
+            width = len(header)
+            values = []
+            loaded = dropped = unparseable = 0
+            for row in reader:
+                try:
+                    if len(row) != width:
+                        raise UnparseableRowError(
+                            f"expected {width} fields, got {len(row)}", reader.line_num
+                        )
+                    parsed = parse(row, indices, reader.line_num)
+                except UnparseableRowError:
+                    if not skip_unparseable:
+                        raise
+                    unparseable += 1
+                    continue
+                if parsed is None:
+                    dropped += 1
+                else:
+                    values.extend(parsed)
+                    loaded += 1
+        except csv.Error as exc:  # malformed CSV, e.g. a field over the csv module's size limit
+            raise UnparseableRowError(str(exc), reader.line_num) from exc
+    physical = loaded + dropped + unparseable
+    return values, LoadReport(str(path), physical, loaded, dropped, unparseable)
 
 
 def _stratum_key(
@@ -168,10 +229,10 @@ def _stratum_key(
     With two or more columns a value containing the separator would make
     distinct strata share a key, so it is unparseable.
     """
-    if not columns:
-        return POOLED_KEY
+    if len(columns) < 2:
+        return row[indices[columns[0]]].strip() if columns else POOLED_KEY
     values = [row[indices[c]].strip() for c in columns]
-    if len(values) > 1 and any(STRATUM_SEPARATOR in v for v in values):
+    if any(STRATUM_SEPARATOR in v for v in values):
         raise UnparseableRowError(
             f"stratum value contains {STRATUM_SEPARATOR!r}, which joins the stratum columns",
             line,
@@ -200,51 +261,21 @@ def load_administrative(
     Malformed rows raise UnparseableRowError with the physical line number;
     with ``skip_unparseable`` they are counted and skipped instead.
     """
-    required = [config.race_column, config.force_column, *config.stratum_columns]
-    handle, reader = _open_reader(path)
-    with handle:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumnError(f"{path}: file is empty, expected a header row")
-        indices = _header_indices(header, required, path)
-        width = len(header)
-
-        d_vals: list[int] = []
-        y_vals: list[int] = []
-        x_vals: list[str] = []
-        physical = dropped = unparseable = 0
-        race_map = config.race_map
-        for row in reader:
-            physical += 1
-            line = reader.line_num
-            try:
-                if len(row) != width:
-                    raise UnparseableRowError(
-                        f"expected {width} fields, got {len(row)}", line
-                    )
-                race_token = row[indices[config.race_column]].strip()
-                if race_token not in race_map:
-                    dropped += 1
-                    continue
-                force = _parse_binary(row[indices[config.force_column]], "force", line)
-                key = _stratum_key(row, indices, config.stratum_columns, line)
-            except UnparseableRowError:
-                if not skip_unparseable:
-                    raise
-                unparseable += 1
-                continue
-            d_vals.append(race_map[race_token])
-            y_vals.append(force)
-            x_vals.append(key)
-
-    dataset = AdministrativeDataset(
-        d=np.array(d_vals, dtype=np.int8),
-        y=np.array(y_vals, dtype=np.int8),
-        x=np.array(x_vals, dtype=object),
+    race, force, strata, race_map = (
+        config.race_column, config.force_column, config.stratum_columns, config.race_map
     )
-    report = LoadReport(str(path), physical, len(d_vals), dropped, unparseable)
-    return dataset, report
+
+    def parse(row: list[str], indices: dict[str, int], line: int) -> tuple | None:
+        d = race_map.get(row[indices[race]].strip())
+        if d is None:
+            return None
+        return d, _parse_binary(row[indices[force]], "force", line), _stratum_key(
+            row, indices, strata, line
+        )
+
+    values, report = _read_rows(path, [race, force, *strata], parse, skip_unparseable)
+    d, y = (np.array(values[i::3], dtype=np.int8) for i in (0, 1))
+    return AdministrativeDataset(d, y, np.array(values[2::3], dtype=object)), report
 
 
 CENSUS_COLUMNS = ("stratum", "count_d1", "count_d0")
@@ -257,37 +288,22 @@ def load_census(path: str | Path) -> tuple[ExternalRaceDistribution, LoadReport]
     surface as explicit undefined results downstream. Negative or non-finite
     counts raise NegativeCountError.
     """
-    handle, reader = _open_reader(path)
-    with handle:
+
+    def parse(row: list[str], indices: dict[str, int], line: int) -> tuple:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumnError(f"{path}: file is empty, expected a header row")
-        indices = _header_indices(header, CENSUS_COLUMNS, path)
+            c1, c0 = float(row[indices["count_d1"]]), float(row[indices["count_d0"]])
+        except ValueError:
+            raise UnparseableRowError("counts must be numeric", line)
+        if not (np.isfinite(c1) and np.isfinite(c0)) or c1 < 0 or c0 < 0:
+            raise NegativeCountError(f"{path} line {line}: counts must be finite and nonnegative")
+        return row[indices["stratum"]].strip(), c1, c0
 
-        counts: dict[str, tuple[float, float]] = {}
-        physical = 0
-        for row in reader:
-            physical += 1
-            line = reader.line_num
-            if len(row) != len(header):
-                raise UnparseableRowError(f"expected {len(header)} fields", line)
-            key = row[indices["stratum"]].strip()
-            try:
-                c1 = float(row[indices["count_d1"]])
-                c0 = float(row[indices["count_d0"]])
-            except ValueError:
-                raise UnparseableRowError("counts must be numeric", line)
-            if not (np.isfinite(c1) and np.isfinite(c0)) or c1 < 0 or c0 < 0:
-                raise NegativeCountError(
-                    f"{path} line {line}: counts must be finite and nonnegative"
-                )
-            old1, old0 = counts.get(key, (0.0, 0.0))
-            counts[key] = (old1 + c1, old0 + c0)
-
-    distribution = ExternalRaceDistribution.census_from_counts(counts)
-    report = LoadReport(str(path), physical, physical, 0, 0)
-    return distribution, report
+    values, report = _read_rows(path, CENSUS_COLUMNS, parse)
+    counts: dict[str, tuple[float, float]] = {}
+    for key, c1, c0 in zip(values[0::3], values[1::3], values[2::3]):  # duplicates accumulate
+        old1, old0 = counts.get(key, (0.0, 0.0))
+        counts[key] = (old1 + c1, old0 + c0)
+    return ExternalRaceDistribution.census_from_counts(counts), report
 
 
 @dataclass(frozen=True)
@@ -307,15 +323,16 @@ class SurveyTable:
         return len(self.race)
 
 
-def _parse_item(token: str, what: str, line: int) -> int | None:
-    token = token.strip()
+def _parse_item(row: list[str], pos: int | None, what: str, line: int) -> int | None:
+    """0/1 item at ``pos``; None when missing or the column is absent (``pos`` None)."""
+    token = "" if pos is None else row[pos].strip()
     if token in MISSING_TOKENS:
         return None
     return _parse_binary(token, what, line)
 
 
-def _parse_count(token: str, line: int) -> int | None:
-    token = token.strip()
+def _parse_count(row: list[str], pos: int | None, line: int) -> int | None:
+    token = "" if pos is None else row[pos].strip()
     if token in MISSING_TOKENS:
         return None
     try:
@@ -340,57 +357,24 @@ def load_survey(
     """
     schema = config.survey
     race_map = config.survey_race_map()
-    handle, reader = _open_reader(path)
-    with handle:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumnError(f"{path}: file is empty, expected a header row")
-        required = [schema.race_column, *schema.stratum_columns]
-        indices = _header_indices(header, required, path)
-        positions = {name.strip(): i for i, name in enumerate(header)}
-        optional = {
-            "stop_public": positions.get(schema.stop_public_column),
-            "stop_vehicle": positions.get(schema.stop_vehicle_column),
-            "stop_other": positions.get(schema.stop_other_column),
-            "contacts": positions.get(schema.contacts_column),
-            "large_metro": positions.get(schema.large_metro_column),
-        }
+    items = ("stop_public", "stop_vehicle", "stop_other", "large_metro")
+    item_columns = [(name, getattr(schema, f"{name}_column")) for name in items]
 
-        columns: dict[str, list] = {k: [] for k in ("race", *optional, "x")}
-        physical = dropped = unparseable = 0
-        for row in reader:
-            physical += 1
-            line = reader.line_num
-            try:
-                if len(row) != len(header):
-                    raise UnparseableRowError(
-                        f"expected {len(header)} fields, got {len(row)}", line
-                    )
-                race_token = row[indices[schema.race_column]].strip()
-                if race_token not in race_map:
-                    dropped += 1
-                    continue
-                parsed = {}
-                for name in ("stop_public", "stop_vehicle", "stop_other", "large_metro"):
-                    pos = optional[name]
-                    parsed[name] = None if pos is None else _parse_item(row[pos], name, line)
-                pos = optional["contacts"]
-                parsed["contacts"] = None if pos is None else _parse_count(row[pos], line)
-                key = _stratum_key(row, indices, schema.stratum_columns, line)
-            except UnparseableRowError:
-                if not skip_unparseable:
-                    raise
-                unparseable += 1
-                continue
-            columns["race"].append(race_map[race_token])
-            for name, value in parsed.items():
-                columns[name].append(value)
-            columns["x"].append(key)
+    def parse(row: list[str], indices: dict[str, int], line: int) -> tuple | None:
+        d = race_map.get(row[indices[schema.race_column]].strip())
+        if d is None:
+            return None
+        public, vehicle, other, metro = [
+            _parse_item(row, indices.get(column), name, line) for name, column in item_columns
+        ]
+        contacts = _parse_count(row, indices.get(schema.contacts_column), line)
+        key = _stratum_key(row, indices, schema.stratum_columns, line)
+        return d, public, vehicle, other, contacts, metro, key
 
-    table = SurveyTable(**{k: tuple(v) for k, v in columns.items()})
-    report = LoadReport(str(path), physical, table.n, dropped, unparseable)
-    return table, report
+    required = [schema.race_column, *schema.stratum_columns]
+    values, report = _read_rows(path, required, parse, skip_unparseable)
+    width = len(fields(SurveyTable))
+    return SurveyTable(*(tuple(values[i::width]) for i in range(width))), report
 
 
 def derive_survey_distribution(
@@ -414,24 +398,13 @@ def derive_survey_distribution(
         race = survey.race[i]
         if race is None:
             continue
-        if needs_metro:
-            metro = survey.large_metro[i]
-            if metro is None:
-                continue
-            if metro != 1:
-                continue
-        if mode == "mv-stop":
-            v13 = survey.stop_vehicle[i]
-            if v13 is None:
-                continue
-            if v13 != 1:
-                continue
-        elif mode == "stop-in-public":
-            v11 = survey.stop_public[i]
-            v21 = survey.stop_other[i]
-            if v11 is None or v21 is None:
-                continue
-            if not (v11 == 1 or v21 == 1):
+        if needs_metro and survey.large_metro[i] != 1:
+            continue
+        if mode == "mv-stop" and survey.stop_vehicle[i] != 1:
+            continue
+        if mode == "stop-in-public":
+            public, other = survey.stop_public[i], survey.stop_other[i]
+            if None in (public, other) or 1 not in (public, other):
                 continue
         weight = 1.0
         if weighted:

@@ -43,8 +43,19 @@ CENSUS_FIXED = "census-fixed"
 SURVEY_RESAMPLED = "survey-resampled"
 
 
-def _as_str_array(values) -> np.ndarray:
-    return np.asarray(values, dtype=object)
+def _columns(rows: Sequence[tuple], *dtypes) -> list[np.ndarray]:
+    """The columns of row tuples, one array per dtype."""
+    return [np.array([row[i] for row in rows], dtype) for i, dtype in enumerate(dtypes)]
+
+
+def _check_binary(name: str, values) -> None:
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":  # min and max allocate no full-length temporaries
+        valid = values.size == 0 or (values.min() >= 0 and values.max() <= 1)
+    else:
+        valid = np.all((values == 0) | (values == 1))
+    if not valid:
+        raise ValueError(f"{name} values must be 0 or 1")
 
 
 class _StratumIndex:
@@ -86,28 +97,19 @@ class AdministrativeDataset:
     def __post_init__(self) -> None:
         if not (len(self.d) == len(self.y) == len(self.x)):
             raise ValueError("column arrays must have equal length")
-        for name in ("d", "y"):
-            values = np.asarray(getattr(self, name))
-            if values.dtype.kind in "biu":  # min and max allocate no full-length temporaries
-                valid = values.size == 0 or (values.min() >= 0 and values.max() <= 1)
-            else:
-                valid = np.all((values == 0) | (values == 1))
-            if not valid:
-                raise ValueError(f"{name} values must be 0 or 1")
+        _check_binary("d", self.d)
+        _check_binary("y", self.y)
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[int, int, str]]) -> "AdministrativeDataset":
-        d = np.array([r[0] for r in rows], dtype=np.int8)
-        y = np.array([r[1] for r in rows], dtype=np.int8)
-        x = _as_str_array([r[2] for r in rows])
-        return cls(d, y, x)
+        return cls(*_columns(rows, np.int8, np.int8, object))
 
     @classmethod
     def concat(cls, parts: Sequence["AdministrativeDataset"]) -> "AdministrativeDataset":
         return cls(
             np.concatenate([p.d for p in parts]) if parts else np.empty(0, np.int8),
             np.concatenate([p.y for p in parts]) if parts else np.empty(0, np.int8),
-            np.concatenate([p.x for p in parts]) if parts else _as_str_array([]),
+            np.concatenate([p.x for p in parts]) if parts else np.empty(0, object),
         )
 
     @property
@@ -149,16 +151,14 @@ class SurveyRespondents:
     def __post_init__(self) -> None:
         if not (len(self.d) == len(self.x) == len(self.weight)):
             raise ValueError("column arrays must have equal length")
+        _check_binary("d", self.d)
         w = np.asarray(self.weight, dtype=float)
         if len(w) and (not np.all(np.isfinite(w)) or np.any(w < 0)):
             raise ValueError("weights must be finite and nonnegative")
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[int, str, float]]) -> "SurveyRespondents":
-        d = np.array([r[0] for r in rows], dtype=np.int8)
-        x = _as_str_array([r[1] for r in rows])
-        w = np.array([r[2] for r in rows], dtype=float)
-        return cls(d, x, w)
+        return cls(*_columns(rows, np.int8, object, float))
 
     @property
     def n(self) -> int:

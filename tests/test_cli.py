@@ -416,6 +416,15 @@ class TestSensitivity:
         assert code == 2
         assert "citywide" in err
 
+    @pytest.mark.parametrize("flag", [["--survey", "survey.csv"], ["--survey-mode", "all"]])
+    def test_survey_flags_rejected(self, capsys, simulated_inputs, flag):
+        admin, census = simulated_inputs
+        with pytest.raises(SystemExit) as exc:
+            main(["sensitivity", "--admin", admin, "--census", census, "--lambda", "0.9",
+                  "--citywide-p1", "0.3", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_passes_and_exits_zero(self, capsys):
@@ -589,6 +598,34 @@ class TestConfigAndErrors:
         (key,) = config
         assert code == 2
         assert f"config key {key!r}" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            {"race_map": [1, 0]},
+            {"stratum_columns": [["x"]]},
+            {"race_column": ["d"]},
+            {"survey": {"stratum_columns": [["x"]]}},
+            {"stratum_columns": "precinct"},
+            {"survey": {"race_map": {"B": 1, "W": 0, "H": 7}}},
+        ],
+    )
+    def test_malformed_schema_is_exit_2(self, capsys, tmp_path, schema):
+        admin = tmp_path / "admin.csv"
+        admin.write_text("d,y,x\n1,1,a\n1,0,a\n0,1,a\n0,0,a\n")
+        survey = tmp_path / "survey.csv"
+        survey.write_text("race\nB\nW\nH\n1\n0\n")
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"schema": schema}))
+        code, out, err = run(
+            capsys,
+            ["estimate", "--admin", str(admin), "--survey", str(survey),
+             "--config", str(config_file), "--bootstrap", "20"],
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "schema" in err
         assert "Traceback" not in err
         assert out == ""
 

@@ -1,5 +1,7 @@
 """Loader tests: schema mapping, drop accounting, survey modes, round trips."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,17 @@ class TestAdministrativeLoader:
         data, _ = load_administrative(path, schema)
         assert list(data.x) == ["18-24|m"]
 
+    def test_text_the_csv_module_rejects_is_unparseable(self, tmp_path):
+        too_long = "a" * (csv.field_size_limit() + 1)
+        for text, line in (
+            (f"d,y,x\n1,1,a\n1,0,{too_long}\n", 3),
+            (f"d,y,{too_long}\n1,1,a\n", 1),
+        ):
+            path = write(tmp_path, "admin.csv", text)
+            for skip in (False, True):
+                with pytest.raises(UnparseableRowError, match=f"line {line}: field larger"):
+                    load_administrative(path, skip_unparseable=skip)
+
     def test_separator_in_composite_stratum_value(self, tmp_path):
         # "a|b" + "c" and "a" + "b|c" would both join to "a|b|c"
         schema = SchemaConfig(
@@ -164,6 +177,53 @@ class TestAdministrativeLoader:
         with pytest.raises(ValueError):
             SchemaConfig(race_map={"B": 2})
 
+    def test_survey_race_map_follows_the_same_rule(self):
+        for race_map in ({"B": 1, "W": 0, "H": 7}, {}, {"B": True, "W": 0}, ["B"]):
+            with pytest.raises(ValueError, match="schema.survey.race_map"):
+                SurveySchema(race_map=race_map)
+            with pytest.raises(ValueError, match="schema.survey.race_map"):
+                SchemaConfig.from_dict({"survey": {"race_map": race_map}})
+        assert SurveySchema().race_map is None  # inherits the admin map
+
+
+class TestSchemaFromDict:
+    def test_fields_and_defaults(self):
+        schema = SchemaConfig.from_dict(
+            {
+                "race_column": "race",
+                "race_map": {"B": 1, "W": 0},
+                "stratum_columns": ["s1", "s2"],
+                "force_column": None,  # null keeps the default
+                "survey": {"stratum_columns": ["s1"], "race_map": None},
+            }
+        )
+        assert schema.race_column == "race"
+        assert schema.force_column == DEFAULT_SCHEMA.force_column
+        assert schema.stratum_columns == ("s1", "s2")
+        assert schema.survey.stratum_columns == ("s1",)
+        assert schema.survey_race_map() == {"B": 1, "W": 0}
+        assert SchemaConfig.from_dict({}) == SchemaConfig.from_dict(None) == DEFAULT_SCHEMA
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ([], "schema must be an object"),
+            ({"colour": "x"}, "unknown schema keys"),
+            ({"survey": {"colour": "x"}}, "unknown schema.survey keys"),
+            ({"survey": 5}, "schema.survey must be an object"),
+            ({"race_column": ["d"]}, "schema.race_column must be a string"),
+            ({"survey": {"contacts_column": 3}}, "schema.survey.contacts_column must be a string"),
+            ({"stratum_columns": "precinct"}, "must be a list of strings"),
+            ({"stratum_columns": [["x"]]}, "must be a list of strings"),
+            ({"survey": {"stratum_columns": [1]}}, "must be a list of strings"),
+            ({"race_map": [1, 0]}, "race_map must be a non-empty object"),
+            ({"race_map": {"B": 1.0}}, "race_map values must be 0 or 1"),
+        ],
+    )
+    def test_malformed_record_is_value_error(self, record, message):
+        with pytest.raises(ValueError, match=message):
+            SchemaConfig.from_dict(record)
+
 
 class TestCensusLoader:
     def test_shares(self, tmp_path):
@@ -194,6 +254,11 @@ class TestCensusLoader:
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "census.csv", "stratum,count_d1\np7,5\n")
         with pytest.raises(MissingColumnError):
+            load_census(path)
+
+    def test_row_of_wrong_width(self, tmp_path):
+        path = write(tmp_path, "census.csv", "stratum,count_d1,count_d0\np7,1,5\np8,1,5,9\n")
+        with pytest.raises(UnparseableRowError, match="line 3: expected 3 fields, got 4"):
             load_census(path)
 
     def test_non_numeric_count(self, tmp_path):

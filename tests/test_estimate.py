@@ -651,6 +651,11 @@ class TestDatasets:
         with pytest.raises(ValueError, match="y values"):
             dataset([(1, -1, "a")])
 
+    def test_survey_race_outside_zero_one_rejected(self):
+        for race in (7, -1):
+            with pytest.raises(ValueError, match="d values"):
+                SurveyRespondents.from_rows([(1, "a", 1.0), (race, "a", 1.0)])
+
     def test_restrict_keeps_row_order(self):
         data = dataset([(1, 0, "b"), (0, 1, "a"), (0, 0, "b"), (1, 1, "a"), (1, 1, "b")])
         # cell code 2*d + y of the rows in stratum "b", in file order
