@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -290,10 +291,11 @@ def load_census(path: str | Path) -> tuple[ExternalRaceDistribution, LoadReport]
     """
 
     def parse(row: list[str], indices: dict[str, int], line: int) -> tuple:
-        try:
-            c1, c0 = float(row[indices["count_d1"]]), float(row[indices["count_d0"]])
-        except ValueError:
-            raise UnparseableRowError("counts must be numeric", line)
+        tokens = [row[indices[column]].strip() for column in ("count_d1", "count_d0")]
+        # ASCII decimals with an optional exponent, as R writes 1e+05
+        if not all(re.fullmatch(r"-?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?", t) for t in tokens):
+            raise UnparseableRowError(f"counts must be decimal numbers, got {tokens}", line)
+        c1, c0 = map(float, tokens)
         if not (np.isfinite(c1) and np.isfinite(c0)) or c1 < 0 or c0 < 0:
             raise NegativeCountError(f"{path} line {line}: counts must be finite and nonnegative")
         return row[indices["stratum"]].strip(), c1, c0
@@ -335,13 +337,9 @@ def _parse_count(row: list[str], pos: int | None, line: int) -> int | None:
     token = "" if pos is None else row[pos].strip()
     if token in MISSING_TOKENS:
         return None
-    try:
-        value = int(token)
-    except ValueError:
-        raise UnparseableRowError(f"contact count must be an integer, got {token!r}", line)
-    if value < 0:
-        raise UnparseableRowError(f"contact count must be nonnegative, got {value}", line)
-    return value
+    if not re.fullmatch(r"[0-9]+", token):  # ASCII digits only
+        raise UnparseableRowError(f"contact count {token!r} is not a nonnegative integer", line)
+    return int(token)
 
 
 def load_survey(

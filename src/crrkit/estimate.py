@@ -17,9 +17,11 @@ alongside the administrative rows.
 Every statistic depends only on the scope's four record counts (n1, n0, f1,
 f0) and, for the adjusted ones, the external minority share p1; each formula
 is written once, on those counts. The bootstrap supports exactly these four
-statistics: a replicate draws row indices (and, for survey sources,
-respondent indices) from its own generator and counts the drawn cells, so
-intervals are bit-identical to evaluating the statistic on resampled rows.
+statistics. Resampling n rows with replacement and counting them is a
+multinomial draw over the four cells 2*d + y, so one bootstrap call draws
+the counts of all its replicates at once from one generator (and, for survey
+sources, the respondent counts per distinct (race, weight) cell after them),
+then evaluates the statistic on each replicate's counts.
 """
 
 from __future__ import annotations
@@ -224,10 +226,6 @@ class ExternalRaceDistribution:
         return cls(shares=shares, counts=dict(counts))
 
     @classmethod
-    def census_from_shares(cls, shares: Mapping[str, float | None]) -> "ExternalRaceDistribution":
-        return cls(shares=dict(shares))
-
-    @classmethod
     def from_survey(cls, respondents: SurveyRespondents) -> "ExternalRaceDistribution":
         return cls(shares=respondents.shares_by_stratum(), respondents=respondents)
 
@@ -271,27 +269,27 @@ class ExternalRaceDistribution:
 
     # -- bootstrap support ------------------------------------------------------
 
-    def _share_sampler(self, x: str | None) -> Callable[[np.random.Generator], float | None]:
-        """Per-replicate p1 for scope ``x``, mixture applied.
+    def _share_draws(
+        self, x: str | None, rng: np.random.Generator, replicates: int
+    ) -> list[float | None]:
+        """``replicates`` bootstrap draws of p1 for scope ``x``, mixture applied.
 
-        Census sources return their fixed share. Survey sources gather the
-        scoped respondents once; each call draws ``m`` respondent indices
-        with replacement from ``rng`` and recomputes this scope's share.
+        Census sources repeat their fixed share and take nothing from ``rng``.
+        Survey sources draw one multinomial over the distinct (race, weight)
+        cells of the scoped respondents, which is a with-replacement resample
+        of them counted by cell, and recompute the weighted share per draw.
         """
         if self.respondents is None:
-            p1 = self.p1_for(x)
-            return lambda rng: p1
+            return [self.p1_for(x)] * replicates
         d, weight = self.respondents._scope(x)
         m = len(d)
         if m == 0:
-            p1 = self._mixed(None)
-            return lambda rng: p1
-
-        def draw(rng: np.random.Generator) -> float | None:
-            idx = rng.integers(0, m, size=m)
-            return self._mixed(_weighted_share(d[idx], weight[idx]))
-
-        return draw
+            return [self._mixed(None)] * replicates
+        cells, counts = np.unique(np.column_stack([d, weight]), axis=0, return_counts=True)
+        draws = rng.multinomial(m, counts / m, size=replicates)
+        totals = (draws @ cells[:, 1]).tolist()
+        minority = (draws @ (cells[:, 0] * cells[:, 1])).tolist()
+        return [self._mixed(w1 / w if w > 0.0 else None) for w1, w in zip(minority, totals)]
 
 
 def sensitivity_mixture(
@@ -319,10 +317,14 @@ def sensitivity_mixture(
 Counts = tuple[int, int, int, int]
 
 
+def _cell_totals(c00: int, c01: int, c10: int, c11: int) -> Counts:
+    """Counts (n1, n0, f1, f0) from the number of records in each cell 2*d + y."""
+    return c10 + c11, c00 + c01, c11, c01
+
+
 def _counts(cells: np.ndarray) -> Counts:
     """Counts (n1, n0, f1, f0) from cell codes 2*d + y."""
-    c00, c01, c10, c11 = np.bincount(cells, minlength=4).tolist()
-    return c10 + c11, c00 + c01, c11, c01
+    return _cell_totals(*np.bincount(cells, minlength=4).tolist())
 
 
 def _rates(counts: Counts, x: str | None, haldane: bool) -> tuple[float, float]:
@@ -447,8 +449,10 @@ class EstimateWithCI:
 
 Statistic = Callable[..., float]
 
-#: Upper bound on ``replicates``: every replicate owns a spawned seed sequence
-#: (a few hundred bytes each), all allocated before the first draw.
+#: Upper bound on ``replicates``: a call holds replicates x cells int64 draws,
+#: four record cells plus, for a survey source, one per distinct (race, weight)
+#: pair of the scoped respondents: at most 62 in the CLI's modes, whose
+#: weights are integer contact counts, but up to m for arbitrary float weights.
 MAX_REPLICATES = 100_000
 
 
@@ -467,13 +471,14 @@ def bootstrap(
 
     ``statistic`` is one of the built-ins ``naive_risk_difference``,
     ``naive_risk_ratio``, ``bias_factor`` and ``crr_identified``; the last two
-    need ``external``. Each replicate resamples the scope's administrative
-    rows with replacement and evaluates the statistic on their counts; for a
-    survey source it then resamples the scoped respondents and recomputes
-    the share (census shares stay fixed). Replicate sub-seeds derive
-    deterministically from ``seed`` by replicate index, and results merge in
-    replicate order, so a parallel runner would reproduce the serial
-    intervals exactly.
+    need ``external``. One generator, ``default_rng(seed)``, first draws
+    every replicate's record counts as one multinomial over the scope's cells
+    2*d + y (a with-replacement resample of its rows, counted); for a survey
+    source it then draws every replicate's respondent counts over the
+    distinct (race, weight) cells of the scoped respondents and recomputes
+    the share (census shares stay fixed and draw nothing). The point estimate
+    is computed before any draw. The result depends only on the arguments,
+    so calls reproduce in any order.
 
     Raises ValueError for any other statistic, a missing external, or
     ``replicates`` outside [2, MAX_REPLICATES]; TooManyUndefinedError when
@@ -500,14 +505,14 @@ def bootstrap(
 
     n = len(cells)
     point = form(_counts(cells), external.p1_for(x) if reads_share else None, x, haldane)
-    share = external._share_sampler(x) if reads_share else lambda rng: None
+    rng = np.random.default_rng(seed)
+    draws = rng.multinomial(n, np.bincount(cells, minlength=4) / n, size=replicates)
+    shares = external._share_draws(x, rng, replicates) if reads_share else [None] * replicates
     values: list[float] = []
     undefined = 0
-    for child in np.random.SeedSequence(seed).spawn(replicates):
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, n, size=n)
+    for cell_counts, p1 in zip(draws.tolist(), shares):
         try:
-            values.append(form(_counts(cells[idx]), share(rng), x, haldane))
+            values.append(form(_cell_totals(*cell_counts), p1, x, haldane))
         except EstimandUndefinedError:
             undefined += 1
     if 2 * undefined > replicates:

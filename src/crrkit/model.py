@@ -141,11 +141,10 @@ class PopulationModel:
         extra = [k for k in record if k not in MODEL_FIELDS]
         if extra:
             raise InvalidModelError(f"model record has unknown keys: {extra}")
-        try:
-            values = {k: float(record[k]) for k in MODEL_FIELDS}
-        except (TypeError, ValueError) as exc:
-            raise InvalidModelError(f"non-numeric model value: {exc}") from exc
-        return cls(**values)
+        bad = {k: v for k, v in record.items() if type(v) not in (int, float)}
+        if bad:
+            raise InvalidModelError(f"model values must be JSON numbers, got {bad}")
+        return cls(**{k: float(record[k]) for k in MODEL_FIELDS})
 
     def dumps(self) -> str:
         """Serialize to the flat key-value JSON record used by ``--model-file``."""
@@ -154,7 +153,7 @@ class PopulationModel:
     @classmethod
     def loads(cls, text: str) -> "PopulationModel":
         try:
-            record = json.loads(text)
+            record = json.loads(text, parse_int=float)  # a huge integer reads as inf
         except json.JSONDecodeError as exc:
             raise InvalidModelError(f"model file is not valid JSON: {exc}") from exc
         if not isinstance(record, dict):

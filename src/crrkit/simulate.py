@@ -54,9 +54,6 @@ class EncounterTable:
     def n(self) -> int:
         return len(self.d)
 
-    def stratum_labels(self) -> np.ndarray:
-        return np.array(STRATUM_LABELS, dtype=object)[self.s]
-
 
 def _sample_block(model: PopulationModel, k: int, rng: np.random.Generator):
     # fixed draw order (d, s, y01, y11) is part of the reproducibility contract

@@ -79,7 +79,7 @@ def test_c02_bias_factor_worked_example():
     with criterion(2, "bias factor for (0.8, 0.25) is exactly 12.0"):
         rows = [(1, 0, "all")] * 8 + [(0, 0, "all")] * 2
         data = AdministrativeDataset.from_rows(rows)
-        external = ExternalRaceDistribution.census_from_shares({"all": 0.25})
+        external = ExternalRaceDistribution(shares={"all": 0.25})
         assert bias_factor(data, external) == 12.0
 
 

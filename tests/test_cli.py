@@ -352,6 +352,20 @@ class TestEstimate:
         assert naive["point"] == "undefined"
         assert "ZeroDenominatorError" in naive["flags"]
 
+    def test_too_many_undefined_row_renders_with_reason(self, capsys, tmp_path):
+        # the point (RR 2) is defined, but a resample of the three rows misses
+        # the minority row or the forced majority row with probability 15/27,
+        # about 5 SD above one half at 2000 replicates
+        admin = tmp_path / "admin.csv"
+        admin.write_text("d,y,x\n1,1,all\n0,1,all\n0,0,all\n")
+        code, out, _ = run(
+            capsys,
+            ["estimate", "--admin", str(admin), "--bootstrap", "2000", "--format", "csv"],
+        )
+        assert code == 0
+        naive = [r for r in parse_csv_rows(out) if r["estimand"] == "naive-rr"][0]
+        assert naive["point"] == "undefined"
+        assert naive["flags"].endswith("undefined;TooManyUndefinedError")
 
     def test_one_bootstrap_per_rendered_row(self, capsys, monkeypatch, strata_inputs):
         import crrkit.cli
@@ -531,6 +545,46 @@ class TestConfigAndErrors:
         bad.write_text('{"p_d": 2.0}')
         code, _, err = run(capsys, ["estimands", "--model-file", str(bad)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "value",
+        ['"0.2"', '"1_0e-1"', "true", "null", "1" + "0" * 400],
+        ids=["string", "underscore-string", "boolean", "null", "huge-integer"],
+    )
+    def test_model_value_not_a_json_number_is_exit_2(self, capsys, tmp_path, value):
+        record = TOY_MODEL.dumps().replace('"mu_11": 0.2', f'"mu_11": {value}')
+        assert record != TOY_MODEL.dumps()
+        bad = tmp_path / "bad.json"
+        bad.write_text(record)
+        code, out, err = run(capsys, ["estimands", "--model-file", str(bad)])
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--census", "stratum,count_d1,count_d0\nall,1,1\nall,1_000,5\n"),
+            ("--census", "stratum,count_d1,count_d0\nall,1,1\nall,+3,5\n"),
+            ("--survey", "race,contacts\n1,2\n0,1_0\n"),
+            ("--survey", "race,contacts\n1,2\n0,\u0663\n"),
+        ],
+        ids=["census-underscore", "census-plus", "survey-underscore", "survey-arabic-indic"],
+    )
+    def test_count_outside_grammar_is_exit_2(self, capsys, tmp_path, flag, text):
+        admin = tmp_path / "admin.csv"
+        admin.write_text("d,y,x\n1,1,all\n1,0,all\n0,1,all\n0,0,all\n")
+        source = tmp_path / "source.csv"
+        source.write_text(text, encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            ["estimate", "--admin", str(admin), flag, str(source), "--bootstrap", "20"],
+        )
+        assert code == 2
+        assert "line 3" in err
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_unknown_stratum_is_exit_2(self, capsys, tmp_path):
         admin = tmp_path / "admin.csv"

@@ -247,9 +247,10 @@ class TestCensusLoader:
         assert external.p1_for("p7") == 0.8
 
     def test_negative_count(self, tmp_path):
-        path = write(tmp_path, "census.csv", "stratum,count_d1,count_d0\np7,-1,5\n")
-        with pytest.raises(NegativeCountError):
-            load_census(path)
+        for count in ("-1", "1e400"):  # negative, and too large for a float
+            path = write(tmp_path, "census.csv", f"stratum,count_d1,count_d0\np7,{count},5\n")
+            with pytest.raises(NegativeCountError):
+                load_census(path)
 
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "census.csv", "stratum,count_d1\np7,5\n")
@@ -265,6 +266,22 @@ class TestCensusLoader:
         path = write(tmp_path, "census.csv", "stratum,count_d1,count_d0\np7,x,5\n")
         with pytest.raises(UnparseableRowError):
             load_census(path)
+
+    @pytest.mark.parametrize("count", ["1_0", "+3", "\u0663", "1_000", "nan", "inf"])
+    def test_count_outside_grammar_is_unparseable(self, tmp_path, count):
+        path = write(
+            tmp_path, "census.csv", f"stratum,count_d1,count_d0\np7,1,5\np8,5,{count}\n"
+        )
+        with pytest.raises(UnparseableRowError, match="line 3"):
+            load_census(path)
+
+    def test_count_grammar_reads_decimals_and_exponents(self, tmp_path):
+        path = write(
+            tmp_path, "census.csv", "stratum,count_d1,count_d0\na,1e+05,3E5\nb, 2. ,0.5e1\n"
+        )
+        external, _ = load_census(path)
+        assert external.p1_for("a") == 0.25
+        assert external.p1_for("b") == 2 / 7
 
     def test_feeds_stratified_estimation(self, tmp_path):
         from crrkit.estimate import AdministrativeDataset, stratified_estimates
@@ -303,6 +320,11 @@ class TestSurveyLoader:
         table, _ = survey_from(tmp_path, "B,0,0,0,3,1\nW,1,0,0,1,1\n")
         external = derive_survey_distribution(table, "weighted")
         assert external.p1_for(None) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("contacts", ["1_0", "+3", "\u0663", "-1", "3.0", "nan"])
+    def test_contacts_outside_grammar_is_unparseable(self, tmp_path, contacts):
+        with pytest.raises(UnparseableRowError, match="line 3"):
+            survey_from(tmp_path, f"B,0,0,0,3,1\nW,1,0,0,{contacts},1\n")
 
     def test_contact_outliers_excluded(self, tmp_path):
         table, _ = survey_from(tmp_path, "B,0,0,0,31,1\nW,0,0,0,2,1\nB,0,0,0,30,1\n")

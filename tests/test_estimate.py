@@ -45,7 +45,7 @@ def dataset(rows):
 
 
 def census(share_by_stratum):
-    return ExternalRaceDistribution.census_from_shares(share_by_stratum)
+    return ExternalRaceDistribution(shares=share_by_stratum)
 
 
 SIMPLE = dataset([(1, 1, "all"), (1, 0, "all"), (0, 0, "all"), (0, 0, "all")])
@@ -257,20 +257,19 @@ class TestBootstrap:
             bootstrap(statistic, data, external, replicates=10, seed=1)
 
     def test_census_external_constant_across_replicates(self):
-        sampler = census({"all": 0.5})._share_sampler("all")
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        assert {sampler(rng) for _ in range(20)} == {0.5}
+        assert census({"all": 0.5})._share_draws("all", rng, 20) == [0.5] * 20
         assert rng.bit_generator.state == state  # draws nothing from the stream
 
     def test_survey_external_varies_across_replicates(self):
         respondents = SurveyRespondents.from_rows(
             [(1, "all", 1.0)] * 30 + [(0, "all", 1.0)] * 70
         )
-        sampler = ExternalRaceDistribution.from_survey(respondents)._share_sampler("all")
-        rng = np.random.default_rng(1)
-        shares = {sampler(rng) for _ in range(20)}
-        assert len(shares) > 1
+        external = ExternalRaceDistribution.from_survey(respondents)
+        shares = external._share_draws("all", np.random.default_rng(1), 20)
+        assert len(shares) == 20
+        assert len(set(shares)) > 1
         assert all(abs(s - 0.3) < 0.25 for s in shares)
 
     def test_interval_brackets_for_well_behaved_data(self):
@@ -288,23 +287,23 @@ class TestBootstrap:
         assert est.replicates == 400
 
     def test_out_of_order_replicates_reproduce_interval(self):
-        # the merge contract: per-replicate sub-seeds come from the master
-        # seed by index, so evaluating replicates in any order (here:
-        # reversed, as a stand-in for a parallel pool) gives the same interval
+        # the merge contract: a call's result depends only on its arguments,
+        # so calls evaluated in either order (as a parallel runner might)
+        # agree, and the same seed reproduces
         table = sample_encounters(TOY_MODEL, 5000, seed=91)
         admin = to_administrative(table)
-        replicates, seed = 150, 17
-        est = bootstrap(naive_risk_ratio, admin, replicates=replicates, seed=seed)
+        survey = ExternalRaceDistribution.from_survey(
+            SurveyRespondents.from_rows([(1, "all", 2.0)] * 30 + [(0, "all", 1.0)] * 70)
+        )
+        calls = [(naive_risk_ratio, None, 17), (crr_identified, survey, 18)]
 
-        children = np.random.SeedSequence(seed).spawn(replicates)
-        values = []
-        for child in reversed(children):
-            rng = np.random.default_rng(child)
-            idx = rng.integers(0, admin.n, size=admin.n)
-            resample = AdministrativeDataset(admin.d[idx], admin.y[idx], admin.x[idx])
-            values.append(naive_risk_ratio(resample))
-        lo, hi = np.quantile(values, [0.025, 0.975])
-        assert (float(lo), float(hi)) == (est.lo, est.hi)
+        def run(statistic, external, seed):
+            return bootstrap(statistic, admin, external, replicates=150, seed=seed)
+
+        forward = [run(*call) for call in calls]
+        backward = [run(*call) for call in reversed(calls)][::-1]
+        assert forward == backward
+        assert forward == [run(*call) for call in calls]
 
     def test_extreme_share_tiny_stratum_is_wide_or_undefined(self):
         # a stratum where minorities dominate both records and population:
@@ -327,27 +326,19 @@ def in_scope(column, x):
     return np.ones(len(column), dtype=bool) if x is None else column == x
 
 
-def resampled_survey(external, x, rng):
-    """The survey source rebuilt from a with-replacement draw of its scoped respondents."""
-    resp = external.respondents
-    keep = in_scope(resp.x, x)
-    d, xs, weight = resp.d[keep], resp.x[keep], resp.weight[keep]
-    if len(d):
-        idx = rng.integers(0, len(d), size=len(d))
-        d, xs, weight = d[idx], xs[idx], weight[idx]
-    drawn = ExternalRaceDistribution.from_survey(SurveyRespondents(d, xs, weight))
-    return replace(drawn, mix_lambda=external.mix_lambda, mix_citywide=external.mix_citywide)
+def multinomial_bootstrap(statistic, data, external=None, *, x=None, level=0.95,
+                          replicates=1000, seed=0, haldane=False):
+    """Reference bootstrap that rebuilds each replicate as rows and evaluates the row-level statistic.
 
-
-def row_path_bootstrap(statistic, data, external=None, *, x=None, level=0.95,
-                       replicates=1000, seed=0, haldane=False):
-    """Reference bootstrap that resamples rows and evaluates the row-level statistic.
-
-    Same stream as ``bootstrap``: per replicate, row indices and then (for
-    survey sources) respondent indices from the replicate's generator.
+    Same stream as ``bootstrap``: one generator draws every replicate's record
+    counts over the cells 2*d + y of the scoped rows, then, for survey
+    sources, every replicate's respondent counts over the distinct
+    (race, weight) pairs of the scoped respondents. Each replicate's rows and
+    respondents are materialised with ``np.repeat`` over those cells.
     """
     keep = in_scope(data.x, x)
-    d, y, xs = data.d[keep], data.y[keep], data.x[keep]
+    d, y = data.d[keep], data.y[keep]
+    label = "all" if x is None else x
     wants_external = statistic in (bias_factor, crr_identified)
 
     def call(rows, ext):
@@ -355,15 +346,40 @@ def row_path_bootstrap(statistic, data, external=None, *, x=None, level=0.95,
             return statistic(rows, ext, x, haldane=haldane)
         return statistic(rows, x, haldane=haldane)
 
-    point = call(AdministrativeDataset(d, y, xs), external)
+    point = call(AdministrativeDataset(d, y, data.x[keep]), external)
+    rng = np.random.default_rng(seed)
+    cell_d, cell_y = np.array([0, 0, 1, 1], np.int8), np.array([0, 1, 0, 1], np.int8)
+    cell_counts = np.array([np.sum((d == a) & (y == b)) for a, b in zip(cell_d, cell_y)])
+    draws = rng.multinomial(len(d), cell_counts / len(d), size=replicates)
+    externals = [external] * replicates
+    if external is not None and external.respondents is not None:
+        resp = external.respondents
+        scoped = in_scope(resp.x, x)
+        m = int(np.sum(scoped))
+        if m:
+            pairs, pair_counts = np.unique(
+                np.column_stack([resp.d[scoped], resp.weight[scoped]]), axis=0, return_counts=True
+            )
+            resp_draws = rng.multinomial(m, pair_counts / m, size=replicates)
+        else:
+            pairs, resp_draws = np.zeros((0, 2)), np.zeros((replicates, 0), int)
+        externals = []
+        for counts in resp_draws:
+            drawn = SurveyRespondents(
+                np.repeat(pairs[:, 0], counts).astype(np.int8),
+                np.full(int(np.sum(counts)), label, dtype=object),
+                np.repeat(pairs[:, 1], counts),
+            )
+            externals.append(replace(
+                ExternalRaceDistribution.from_survey(drawn),
+                mix_lambda=external.mix_lambda, mix_citywide=external.mix_citywide,
+            ))
     values, undefined = [], 0
-    for child in np.random.SeedSequence(seed).spawn(replicates):
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, len(d), size=len(d))
-        boot_data = AdministrativeDataset(d[idx], y[idx], xs[idx])
-        boot_external = external
-        if external is not None and external.respondents is not None:
-            boot_external = resampled_survey(external, x, rng)
+    for counts, boot_external in zip(draws, externals):
+        boot_data = AdministrativeDataset(
+            np.repeat(cell_d, counts), np.repeat(cell_y, counts),
+            np.full(int(np.sum(counts)), label, dtype=object),
+        )
         try:
             values.append(call(boot_data, boot_external))
         except EstimandUndefinedError:
@@ -389,7 +405,7 @@ def outcome(run, *args, **kwargs):
 
 
 class TestCountPathMatchesRowPath:
-    """Built-ins bootstrapped on counts equal the row-resampling reference exactly."""
+    """Built-ins bootstrapped on counts equal the rebuilt-rows reference exactly."""
 
     @staticmethod
     def fixture():
@@ -401,11 +417,12 @@ class TestCountPathMatchesRowPath:
             rows += [(int(a), int(b), key) for a, b in zip(d, y)]
         order = rng.permutation(len(rows))
         data = dataset([rows[i] for i in order])
-        # non-integer weights, so the share's summation order matters; no
-        # respondents for "b", and an undefined census share for "c"
+        # non-integer weights in eighths, whose sums are exact in any order,
+        # so the reference's row sums and the bootstrap's cell sums agree to
+        # the bit; no respondents for "b", and an undefined census share for "c"
         respondents = SurveyRespondents.from_rows(
-            [(int(rng.random() < 0.35), "a", float(rng.uniform(0.1, 3.0))) for _ in range(40)]
-            + [(int(rng.random() < 0.8), "c", float(rng.uniform(0.1, 3.0))) for _ in range(6)]
+            [(int(rng.random() < 0.35), "a", int(rng.integers(1, 25)) / 8) for _ in range(40)]
+            + [(int(rng.random() < 0.8), "c", int(rng.integers(1, 25)) / 8) for _ in range(6)]
         )
         census_counts = ExternalRaceDistribution.census_from_counts(
             {"a": (30.0, 70.0), "b": (50.0, 50.0), "c": (0.0, 0.0)}
@@ -429,7 +446,7 @@ class TestCountPathMatchesRowPath:
         for seed in (3, 17, 101):
             for statistic, external in requests:
                 kwargs = dict(x=x, replicates=40, seed=seed, haldane=haldane)
-                expected = outcome(row_path_bootstrap, statistic, data, external, **kwargs)
+                expected = outcome(multinomial_bootstrap, statistic, data, external, **kwargs)
                 assert outcome(bootstrap, statistic, data, external, **kwargs) == expected, (
                     statistic.__name__, external, seed
                 )
@@ -448,7 +465,7 @@ class TestCountPathMatchesRowPath:
         ]:
             for seed in (11, 12):
                 kwargs = dict(replicates=400, seed=seed, haldane=haldane)
-                expected = outcome(row_path_bootstrap, statistic, data, external, **kwargs)
+                expected = outcome(multinomial_bootstrap, statistic, data, external, **kwargs)
                 assert outcome(bootstrap, statistic, data, external, **kwargs) == expected
                 if not haldane:
                     assert 0 < expected.undefined_replicates < 200
@@ -567,10 +584,12 @@ class TestSensitivityMixture:
         mixed = sensitivity_mixture(external, 0.5, 0.8)
         assert mixed.kind == "survey-resampled"
         assert sensitivity_mixture(census({"all": 0.2}), 0.5, 0.8).kind == "census-fixed"
-        redrawn = mixed._share_sampler("all")(np.random.default_rng(3))
-        # the same respondent draw, made by hand: unit weights, so the share is a mean
-        idx = np.random.default_rng(3).integers(0, respondents.n, size=respondents.n)
-        local = float(np.mean(respondents.d[idx]))
+        redrawn = mixed._share_draws("all", np.random.default_rng(3), 5)
+        # the same respondent draw, made by hand: one multinomial over the
+        # cells (d=0, w=1) and (d=1, w=1); unit weights, so the share is a mean
+        draws = np.random.default_rng(3).multinomial(100, [0.8, 0.2], size=5)
+        local = draws[:, 1] / 100
+        assert len(set(local)) > 1
         assert redrawn == pytest.approx(0.8 * local + 0.2 * 0.5, rel=1e-12)
 
     def test_parameter_validation(self):
