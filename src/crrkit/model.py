@@ -16,6 +16,10 @@ estimand in this module is a closed-form function of the six numbers
 (p_d, pi_al, pi_mi, pi_ma, pi_ne is implied, mu_01, mu_11); nothing here
 samples or estimates.
 
+The closed forms are written once, as arithmetic on a model's attributes. On
+a ``PopulationModel`` they return Python floats; on a ``ModelArrays``, whose
+fields are equal-length float arrays, they return one array entry per model.
+
 All functions are pure and all types immutable, so the module is safe to use
 from any number of threads without coordination.
 """
@@ -26,6 +30,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import (
     DegenerateOddsError,
@@ -43,15 +49,61 @@ STRATA = ("al", "mi", "ma", "ne")
 MODEL_FIELDS = ("p_d", "pi_al", "pi_mi", "pi_ma", "pi_ne", "mu_01", "mu_11")
 
 
-def _check_prob(name: str, value: float) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InvalidModelError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise InvalidModelError(f"{name} must lie in [0, 1], got {value!r}")
+def _require(ok, value, message: str) -> None:
+    """Raise InvalidModelError naming the first entry of ``value`` where ``ok`` is false."""
+    if isinstance(ok, np.ndarray):
+        if not ok.all():
+            raise InvalidModelError(f"{message}, got {value[~ok][0].item()!r}")
+    elif not ok:
+        raise InvalidModelError(f"{message}, got {value!r}")
+
+
+def _check_fields(model: PopulationModel | ModelArrays) -> None:
+    """The validity rules of a model, on float fields or on array fields alike.
+
+    Every field is finite and in [0, 1] (NaN fails both comparisons, an
+    infinity one) and the stratum masses sum to 1 within PROB_TOL.
+    """
+    for name in MODEL_FIELDS:
+        value = getattr(model, name)
+        _require((value >= 0.0) & (value <= 1.0), value, f"{name} must lie in [0, 1]")
+    total = model.pi_al + model.pi_mi + model.pi_ma + model.pi_ne
+    _require(
+        abs(total - 1.0) <= PROB_TOL, total, f"stratum masses must sum to 1 within {PROB_TOL}"
+    )
+
+
+class _Derived:
+    """Quantities derived from the six parameters, for floats and arrays alike."""
+
+    @property
+    def beta_m(self):
+        """Average effect of minority race on detainment: pi_mi - pi_ma."""
+        return self.pi_mi - self.pi_ma
+
+    @property
+    def beta_y(self):
+        """Controlled direct effect of race on force given a stop: mu_11 - mu_01."""
+        return self.mu_11 - self.mu_01
+
+    @property
+    def e_m0(self):
+        """Detainment rate if everyone were majority: pi_al + pi_ma."""
+        return self.pi_al + self.pi_ma
+
+    @property
+    def e_m1(self):
+        """Detainment rate if everyone were minority: pi_al + pi_mi."""
+        return self.pi_al + self.pi_mi
+
+    @property
+    def p_m1(self):
+        """Marginal detainment probability."""
+        return self.p_d * self.e_m1 + (1.0 - self.p_d) * self.e_m0
 
 
 @dataclass(frozen=True)
-class PopulationModel:
+class PopulationModel(_Derived):
     """Six-parameter population of police-civilian encounters.
 
     Parameters
@@ -75,39 +127,10 @@ class PopulationModel:
 
     def __post_init__(self) -> None:
         for name in MODEL_FIELDS:
-            _check_prob(name, getattr(self, name))
-        total = self.pi_al + self.pi_mi + self.pi_ma + self.pi_ne
-        if abs(total - 1.0) > PROB_TOL:
-            raise InvalidModelError(
-                f"stratum masses must sum to 1 within {PROB_TOL}, got {total!r}"
-            )
-
-    # -- derived quantities ------------------------------------------------
-
-    @property
-    def beta_m(self) -> float:
-        """Average effect of minority race on detainment: pi_mi - pi_ma."""
-        return self.pi_mi - self.pi_ma
-
-    @property
-    def beta_y(self) -> float:
-        """Controlled direct effect of race on force given a stop: mu_11 - mu_01."""
-        return self.mu_11 - self.mu_01
-
-    @property
-    def e_m0(self) -> float:
-        """Detainment rate if everyone were majority: pi_al + pi_ma."""
-        return self.pi_al + self.pi_ma
-
-    @property
-    def e_m1(self) -> float:
-        """Detainment rate if everyone were minority: pi_al + pi_mi."""
-        return self.pi_al + self.pi_mi
-
-    @property
-    def p_m1(self) -> float:
-        """Marginal detainment probability."""
-        return self.p_d * self.e_m1 + (1.0 - self.p_d) * self.e_m0
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise InvalidModelError(f"{name} must be a number, got {value!r}")
+        _check_fields(self)
 
     # -- constructors / serialization ---------------------------------------
 
@@ -161,6 +184,26 @@ class PopulationModel:
         return cls.from_dict(record)
 
 
+@dataclass(frozen=True, eq=False)  # arrays compare entry by entry, so no __eq__
+class ModelArrays(_Derived):
+    """Many population models at once: entry i of every field is model i.
+
+    Each field is a one-dimensional float array of the same length. The
+    arrays obey the rules of ``PopulationModel``, checked entry by entry.
+    """
+
+    p_d: np.ndarray
+    pi_al: np.ndarray
+    pi_mi: np.ndarray
+    pi_ma: np.ndarray
+    pi_ne: np.ndarray
+    mu_01: np.ndarray
+    mu_11: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
+
+
 class Estimand(str, Enum):
     """Average-treatment-effect variants expressible as stratum-weighted averages."""
 
@@ -208,9 +251,24 @@ class StratumWeights:
     def total(self) -> float:
         return self.w_al + self.w_mi + self.w_ma + self.w_ne
 
+    def dot(self, theta: ThetaVector) -> float:
+        """The contrast w . theta, added left to right from +0.0.
+
+        Not ``sum()``: from Python 3.12 it adds floats with compensation but
+        arrays without. Starting at +0.0 makes an all-zero contrast +0.0, as
+        ``sum()`` does.
+        """
+        return (
+            0.0
+            + self.w_al * theta.theta_al
+            + self.w_mi * theta.theta_mi
+            + self.w_ma * theta.theta_ma
+            + self.w_ne * theta.theta_ne
+        )
+
     def normalize(self) -> "StratumWeights":
         total = self.total
-        if total <= 0.0:
+        if np.any(total <= 0.0):
             raise ZeroMassError("cannot normalize an all-zero weight vector")
         return StratumWeights(
             self.w_al / total,
@@ -235,7 +293,7 @@ class EstimandValue:
     weight_total: float
 
 
-def theta_of(model: PopulationModel) -> ThetaVector:
+def theta_of(model: PopulationModel | ModelArrays) -> ThetaVector:
     """Stratum-specific effects of race on force for a valid model."""
     return ThetaVector(
         theta_al=model.beta_y,
@@ -245,7 +303,7 @@ def theta_of(model: PopulationModel) -> ThetaVector:
     )
 
 
-def weights_of(estimand: Estimand, model: PopulationModel) -> StratumWeights:
+def weights_of(estimand: Estimand, model: PopulationModel | ModelArrays) -> StratumWeights:
     """Unnormalized stratum weights that express ``estimand`` as a theta average.
 
     ATE and ATT share the raw stratum masses. The detainment-conditional
@@ -267,29 +325,27 @@ def weights_of(estimand: Estimand, model: PopulationModel) -> StratumWeights:
         )
     else:  # ATT_M1
         w = StratumWeights(model.pi_al, model.pi_mi, 0.0, 0.0)
-    if w.total <= 0.0:
+    if np.any(w.total <= 0.0):
         raise ZeroMassError(
             f"{estimand.value} conditions on detainment, which has probability zero"
         )
     return w
 
 
-def estimand_value(estimand: Estimand, model: PopulationModel) -> EstimandValue:
+def estimand_value(estimand: Estimand, model: PopulationModel | ModelArrays) -> EstimandValue:
     """Evaluate an average treatment effect as a stratum-weighted theta average.
 
     Returns both the normalized average and the raw contrast w . theta; the
     sign-reversal witnesses are stated in terms of the raw contrast while the
     conditional-expectation reading is the normalized value.
     """
-    theta = theta_of(model).as_tuple()
     weights = weights_of(estimand, model)
-    w = weights.as_tuple()
-    contrast = sum(wi * ti for wi, ti in zip(w, theta))
+    contrast = weights.dot(theta_of(model))
     total = weights.total
     return EstimandValue(value=contrast / total, contrast=contrast, weight_total=total)
 
 
-def pie_pde(model: PopulationModel) -> tuple[float, float]:
+def pie_pde(model: PopulationModel | ModelArrays) -> tuple[float, float]:
     """Pure indirect and pure direct effect of race on force.
 
     pie = beta_m * mu_11 routes through detainment; pde = beta_y * E[M(0)] is
@@ -300,14 +356,14 @@ def pie_pde(model: PopulationModel) -> tuple[float, float]:
     return pie, pde
 
 
-def crr_true(model: PopulationModel) -> float:
+def crr_true(model: PopulationModel | ModelArrays) -> float:
     """Population causal risk ratio E[Y(1)] / E[Y(0)].
 
     Raises ZeroDenominatorError when the majority-race force probability
     mu_01 * (pi_al + pi_ma) is zero.
     """
     denom = model.mu_01 * model.e_m0
-    if denom <= 0.0:
+    if np.any(denom <= 0.0):
         raise ZeroDenominatorError(
             "majority-race force probability is zero; risk ratio undefined"
         )
@@ -328,13 +384,13 @@ def identify_ey(d: int, model: PopulationModel) -> float:
     return model.mu_01 * model.e_m0
 
 
-def naive_rr_true(model: PopulationModel) -> float:
+def naive_rr_true(model: PopulationModel | ModelArrays) -> float:
     """Population force-rate ratio among the detained: mu_11 / mu_01.
 
     This is what a ratio of record-level force rates estimates; it ignores
     who gets detained in the first place.
     """
-    if model.mu_01 <= 0.0:
+    if np.any(model.mu_01 <= 0.0):
         raise ZeroDenominatorError("majority force rate among detained is zero")
     return model.mu_11 / model.mu_01
 

@@ -1,13 +1,15 @@
-"""Fuzzed CLI input: ``estimate`` and ``sensitivity`` end in exit 0, 1 or 2.
+"""Fuzzed CLI input: every subcommand ends in exit 0, 1 or 2.
 
-Hypothesis generates the argv, the JSON config (flags and ``schema``
-section) and the bytes of the admin, census and survey CSV files. Whatever
-it draws, ``main`` must return 0, 1 or 2, or argparse must exit with 2; any
-other exception escaping ``main`` is a traceback for the user and fails the
-test. Each example breaks at most one of the argv, the config's flags, its
-schema and the CSV files, so that the malformed part is reached and not
-hidden behind an earlier error. The search is derandomized, so every run
-checks the same examples.
+For ``estimate`` and ``sensitivity`` Hypothesis generates the argv, the JSON
+config (flags and ``schema`` section) and the bytes of the admin, census and
+survey CSV files; for ``simulate``, ``estimands`` and ``verify`` it generates
+the argv and the bytes of the model file. Whatever it draws, ``main`` must
+return 0, 1 or 2, or argparse must exit with 2; any other exception escaping
+``main`` is a traceback for the user and fails the test. Each example breaks
+at most one part of its input, so that the malformed part is reached and not
+hidden behind an earlier error. Sizes stay tiny (``verify --oracle-n 5``
+legitimately fails its oracle check and exits 1). The search is
+derandomized, so every run checks the same examples.
 """
 
 import contextlib
@@ -19,6 +21,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from crrkit.cli import main
+from crrkit.verify import TOY_MODEL
 
 DIR = "{dir}"  # replaced by the example's temporary directory
 PARTS = ("argv", "config", "schema", "files")
@@ -167,10 +170,8 @@ def cli_cases(draw) -> tuple[list[str], dict[str, bytes]]:
     return argv, files
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(case=cli_cases())
-def test_estimate_and_sensitivity_exit_cleanly(case):
-    argv, files = case
+def run_case(argv: list[str], files: dict[str, bytes]) -> None:
+    """Write ``files`` to a temporary directory, run ``main`` there and check its exit."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp).as_posix()
         for name, data in files.items():
@@ -183,3 +184,83 @@ def test_estimate_and_sensitivity_exit_cleanly(case):
                 assert exc.code == 2, (argv, exc.code)
                 return
         assert code in (0, 1, 2), (argv, code)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=cli_cases())
+def test_estimate_and_sensitivity_exit_cleanly(case):
+    run_case(*case)
+
+
+MODEL_PARTS = ("argv", "model")
+#: Per flag of the model-driven commands: values that parse, then values that do not.
+MODEL_FLAG_VALUES = {
+    "model-file": ((f"{DIR}/model.json",), (f"{DIR}/missing.json", DIR)),
+    "out-dir": ((f"{DIR}/out",), (f"{DIR}/model.json",)),
+    "n": (("1", "7", "60"), ("0", "-1", "x", "2.5")),
+    "shards": (("1", "2"), ("0", "-1", "61", "x")),
+    "seed": (("0", "7"), ("-1", "x")),
+    "format": (("table", "csv", "json-lines"), ("xml",)),
+    "draws": (("1", "20", "200"), ("0", "-5", "x", "1e3")),
+    "oracle-n": (("5", "40", "200"), ("0", "-3", "x")),
+}
+#: Per command: the flags it always gets, then those it may get. ``n``, ``draws`` and
+#: ``oracle-n`` are never dropped, so no example runs at the default sizes.
+MODEL_COMMAND_FLAGS = {
+    "simulate": (("model-file", "out-dir", "n"), ("shards", "seed", "format")),
+    "estimands": (("model-file",), ("seed", "format")),
+    "verify": (("draws", "oracle-n"), ("seed", "format")),
+}
+SIZE_FLAGS = ("n", "draws", "oracle-n")
+#: Valid model records: the demonstration model and boundary cases where some
+#: estimand is undefined (no majority force, no one stopped) or a mass is -0.0.
+VALID_MODELS = (
+    TOY_MODEL.to_dict(),
+    {**TOY_MODEL.to_dict(), "mu_01": 0.0},
+    {**TOY_MODEL.to_dict(), "pi_al": 0.0, "pi_mi": 0.0, "pi_ma": -0.0, "pi_ne": 1.0},
+    {**TOY_MODEL.to_dict(), "p_d": 1.0, "pi_ma": 0.3, "pi_ne": 0.4, "mu_11": -0.0},
+)
+JUNK_NUMBERS = (float("nan"), float("inf"), -0.5, 1.5, 1 + 1e-9, 10**400, "0.5", True, None)
+
+
+@st.composite
+def model_files(draw, broken: bool) -> bytes:
+    """A model-file record; when ``broken``, random bytes, some JSON value, or a
+    record with a key dropped, added or given a junk value."""
+    record = dict(draw(st.sampled_from(VALID_MODELS)))
+    if broken:
+        how = draw(st.sampled_from(("bytes", "json", "drop", "add", "value")))
+        if how == "bytes":
+            return draw(st.binary(max_size=40))
+        if how == "json":
+            return json.dumps(draw(json_values)).encode()
+        key = draw(st.sampled_from(sorted(record)))
+        if how == "drop":
+            del record[key]
+        elif how == "add":
+            record[draw(st.sampled_from(COLUMNS))] = 0.5
+        else:
+            record[key] = draw(st.sampled_from(JUNK_NUMBERS) | json_values)
+    return json.dumps(record).encode()
+
+
+@st.composite
+def model_cases(draw) -> tuple[list[str], dict[str, bytes]]:
+    broken = draw(st.sampled_from((None, *MODEL_PARTS)))
+    command = draw(st.sampled_from(sorted(MODEL_COMMAND_FLAGS)))
+    always, optional = MODEL_COMMAND_FLAGS[command]
+    flags = [*always, *draw(st.lists(st.sampled_from(optional), unique=True, max_size=3))]
+    if broken == "argv":  # perhaps drop required flags; values may not parse
+        kept = draw(st.lists(st.sampled_from(flags), unique=True, max_size=len(flags)))
+        flags = [f for f in flags if f in kept or f in SIZE_FLAGS]
+    argv = [command]
+    for flag in flags:
+        valid, junk = MODEL_FLAG_VALUES[flag]
+        argv += [f"--{flag}", draw(st.sampled_from(valid + junk if broken == "argv" else valid))]
+    return argv, {"model.json": draw(model_files(broken == "model"))}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(case=model_cases())
+def test_simulate_estimands_and_verify_exit_cleanly(case):
+    run_case(*case)

@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from crrkit.errors import (
     DegenerateOddsError,
@@ -12,7 +13,10 @@ from crrkit.errors import (
     ZeroMassError,
 )
 from crrkit.model import (
+    MODEL_FIELDS,
+    PROB_TOL,
     Estimand,
+    ModelArrays,
     PopulationModel,
     bias_factor_true,
     crr_true,
@@ -275,3 +279,106 @@ class TestRiskRatio:
 
     def test_bias_factor_true_matches_detainment_rate_ratio(self, toy_model):
         assert bias_factor_true(toy_model) == pytest.approx(1.5, rel=1e-12)
+
+
+# -- closed forms on arrays ------------------------------------------------------
+
+#: Each closed form the array checks use, keyed by name.
+CLOSED_FORMS = {
+    **{
+        f"{e.value}.{part}": (lambda m, e=e, part=part: getattr(estimand_value(e, m), part))
+        for e in Estimand
+        for part in ("value", "contrast")
+    },
+    "pie": lambda m: pie_pde(m)[0],
+    "pde": lambda m: pie_pde(m)[1],
+    "crr": crr_true,
+    "naive_rr": naive_rr_true,
+}
+
+edge = st.sampled_from([0.0, -0.0, 1.0])
+edge_unit = edge | st.floats(0.0, 1.0)
+
+
+@st.composite
+def edge_models(draw) -> PopulationModel:
+    """Valid models whose fields are often 0.0, -0.0 or 1.0."""
+    parts = [draw(edge | st.floats(0.01, 1.0)) for _ in range(4)]
+    if sum(parts) == 0.0:
+        parts[draw(st.integers(0, 3))] = 1.0
+    total = sum(parts)
+    return PopulationModel(
+        draw(edge_unit), *(p / total for p in parts), draw(edge_unit), draw(edge_unit)
+    )
+
+
+def as_arrays(*records: dict) -> ModelArrays:
+    return ModelArrays(**{name: np.array([r[name] for r in records]) for name in MODEL_FIELDS})
+
+
+class TestArrayForms:
+    @given(edge_models())
+    @example(PopulationModel(0.5, 0.0, -0.0, 0.0, 1.0, -0.0, 0.0))
+    @example(PopulationModel(1.0, -0.0, 0.5, 0.5, -0.0, 0.0, -0.0))
+    @settings(max_examples=300)
+    def test_one_row_equals_scalar_bit_for_bit(self, model):
+        arrays = as_arrays(model.to_dict())
+        for name, form in CLOSED_FORMS.items():
+            try:
+                expected = form(model)
+            except (ZeroMassError, ZeroDenominatorError) as exc:
+                with pytest.raises(type(exc)):
+                    form(arrays)
+                continue
+            assert type(expected) is float, name
+            with np.errstate(over="ignore"):  # Python floats overflow to inf silently
+                (got,) = form(arrays).tolist()
+            assert got == expected, name
+            assert math.copysign(1.0, got) == math.copysign(1.0, expected), name
+
+    def test_any_zero_total_raises(self):
+        records = [make_model().to_dict(), make_model(pi=(0.0, 0.0, 0.0, 1.0)).to_dict()]
+        with pytest.raises(ZeroMassError):
+            estimand_value(Estimand.ATT_M1, as_arrays(*records))
+        assert estimand_value(Estimand.ATE, as_arrays(*records)).value.shape == (2,)
+
+
+field_values = edge_unit | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -1e-300, 1.0 + 2**-52, 1.5, -0.5]
+)
+#: Shifts of pi_ne, inside and outside the mass-sum tolerance.
+mass_shifts = st.sampled_from([0.0, 0.5 * PROB_TOL, -0.5 * PROB_TOL, 2 * PROB_TOL, -2e-9])
+
+
+@st.composite
+def field_records(draw) -> dict:
+    """Model records, valid or not: any field may be NaN, infinite, outside [0, 1],
+    or leave the masses off a unit sum."""
+    record = draw(edge_models()).to_dict()
+    record["pi_ne"] += draw(mass_shifts)
+    for name in draw(st.lists(st.sampled_from(MODEL_FIELDS), unique=True, max_size=2)):
+        record[name] = draw(field_values)
+    return record
+
+
+def rejection(build, *args) -> str | None:
+    try:
+        build(*args)
+    except InvalidModelError as exc:
+        return str(exc)
+    return None
+
+
+class TestArrayValidation:
+    @given(field_records())
+    @example({**make_model().to_dict(), "mu_01": math.nan})
+    @example({**make_model().to_dict(), "pi_ne": 0.25 + 2e-12})
+    @settings(max_examples=300)
+    def test_one_row_rejected_exactly_when_scalar_is(self, record):
+        assert rejection(as_arrays, record) == rejection(lambda r: PopulationModel(**r), record)
+
+    @given(field_records(), field_records())
+    def test_a_block_is_rejected_when_any_row_is(self, first, second):
+        scalar = [rejection(lambda r: PopulationModel(**r), r) for r in (first, second)]
+        block = rejection(as_arrays, first, second)
+        assert (block is None) == (scalar == [None, None])
