@@ -62,7 +62,7 @@ DEFAULTS = {
     "haldane": False,
 }
 
-#: Config-file key for the one argparse dest that cannot use its own name.
+#: Config-file key and flag name for the one argparse dest that cannot use its own name.
 CONFIG_ALIASES = {"lam": "lambda"}
 
 
@@ -166,6 +166,11 @@ def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         raise DataError("config file must contain a JSON object")
     # argparse exposes a parser's actions, with their type and choices, only as _actions
     (subparsers,) = [a for a in parser._actions if a.dest == "subcommand"]
+    # keys of every subcommand are accepted, so one config file can serve several commands
+    flags = {CONFIG_ALIASES.get(a.dest, a.dest) for p in subparsers.choices.values() for a in p._actions}
+    unknown = sorted(set(config) - (flags - {"help"}) - {"schema"})
+    if unknown:
+        raise DataError(f"unknown config keys: {unknown}")
     actions = {a.dest: a for a in subparsers.choices[args.subcommand]._actions}
     for dest, value in vars(args).items():
         key = CONFIG_ALIASES.get(dest, dest)
@@ -183,7 +188,7 @@ def _apply_defaults(args: argparse.Namespace) -> None:
 def _require(args: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(args, name, None) is None:
-            flag = "--" + name.replace("_", "-")
+            flag = "--" + CONFIG_ALIASES.get(name, name).replace("_", "-")
             raise DataError(f"{args.subcommand}: {flag} is required (flag or config)")
 
 

@@ -16,12 +16,15 @@ alongside the administrative rows.
 
 Every statistic depends only on the scope's four record counts (n1, n0, f1,
 f0) and, for the adjusted ones, the external minority share p1; each formula
-is written once, on those counts. The bootstrap supports exactly these four
-statistics. Resampling n rows with replacement and counting them is a
-multinomial draw over the four cells 2*d + y, so one bootstrap call draws
-the counts of all its replicates at once from one generator (and, for survey
-sources, the respondent counts per distinct (race, weight) cell after them),
-then evaluates the statistic on each replicate's counts.
+is written once, on those counts. So each dataset is reduced once, on first
+use, to per-stratum count tables (records per cell 2*d + y; respondents per
+distinct (race, weight) cell, on which every survey share, point and
+replicate alike, is one weighted sum), and estimation reads only those. The
+bootstrap supports exactly these four statistics. Resampling n rows with
+replacement and counting them is a multinomial draw over the cells 2*d + y,
+so one bootstrap call draws the counts of all its replicates at once from
+one generator (for survey sources, the respondent counts per (race, weight)
+cell after them), then evaluates the statistic on each replicate's counts.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ from .errors import (
     ZeroDenominatorError,
 )
 
-CENSUS_FIXED = "census-fixed"
-SURVEY_RESAMPLED = "survey-resampled"
-
-
 def _columns(rows: Sequence[tuple], *dtypes) -> list[np.ndarray]:
     """The columns of row tuples, one array per dtype."""
     return [np.array([row[i] for row in rows], dtype) for i, dtype in enumerate(dtypes)]
@@ -60,32 +59,15 @@ def _check_binary(name: str, values) -> None:
         raise ValueError(f"{name} values must be 0 or 1")
 
 
-class _StratumIndex:
-    """A stratum column encoded once: each stratum's row indices, in row order.
+def _codes(x: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Each key's stratum code, in first-seen order, and each row's code (int32).
 
-    Codes are assigned in first-seen order through a dict, so encoding never
-    sorts or copies the object column; row indices are int32.
-    """
-
-    def __init__(self, x: np.ndarray) -> None:
-        codes: dict = {}
-        code = np.fromiter(
-            (codes.setdefault(v, len(codes)) for v in x), dtype=np.int32, count=len(x)
-        )
-        self.codes = codes
-        self.order = np.argsort(code, kind="stable").astype(np.int32)
-        self.bounds = np.zeros(len(codes) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(code, minlength=len(codes)), out=self.bounds[1:])
-
-    def keys(self) -> list[str]:
-        return sorted({str(v) for v in self.codes})
-
-    def rows(self, x: str) -> np.ndarray:
-        """Row indices of stratum ``x`` in original order; empty when absent."""
-        code = self.codes.get(x)
-        if code is None:
-            return self.order[:0]
-        return self.order[self.bounds[code] : self.bounds[code + 1]]
+    The dict pass never sorts or copies the object column."""
+    codes: dict = {}
+    code = np.fromiter(
+        (codes.setdefault(v, len(codes)) for v in x), dtype=np.int32, count=len(x)
+    )
+    return codes, code
 
 
 @dataclass(frozen=True)
@@ -119,27 +101,30 @@ class AdministrativeDataset:
         return len(self.d)
 
     @cached_property
-    def _strata_index(self) -> _StratumIndex:
-        return _StratumIndex(self.x)
+    def _table(self) -> dict[str | None, tuple[int, int, int, int]]:
+        """Record counts in the cells 2*d + y of each stratum, and of the pool (key None)."""
+        codes, cell = _codes(self.x)
+        for column in (self.d, self.y):  # cell = 4*code + 2*d + y, in place on int32
+            cell *= 2
+            cell += np.asarray(column, dtype=np.int8)
+        table = np.bincount(cell, minlength=4 * len(codes)).reshape(-1, 4)
+        counts = dict(zip(codes, map(tuple, table.tolist())))
+        counts[None] = tuple(table.sum(axis=0).tolist())
+        return counts
 
-    @cached_property
-    def _cells(self) -> np.ndarray:
-        """Per-row cell code 2*d + y (int8)."""
-        return 2 * np.asarray(self.d, dtype=np.int8) + np.asarray(self.y, dtype=np.int8)
-
-    def _scope_cells(self, x: str | None) -> np.ndarray:
-        return self._cells if x is None else self._cells[self._strata_index.rows(x)]
+    def _scope_counts(self, x: str | None) -> tuple[int, int, int, int]:
+        """Record counts in the cells 2*d + y of stratum ``x`` (None = all); zeros when absent."""
+        return self._table.get(x, (0, 0, 0, 0))
 
     def strata(self) -> list[str]:
-        return self._strata_index.keys()
+        return sorted({str(key) for key in self._table if key is not None})
 
 
-def _weighted_share(d: np.ndarray, weight: np.ndarray) -> float | None:
-    """Weighted share of minority respondents, or None on zero total weight."""
-    total = float(np.sum(weight))
-    if total <= 0.0:
-        return None
-    return float(np.sum(weight * (d == 1))) / total
+def _weighted_shares(counts: np.ndarray, cells: np.ndarray) -> list[float | None]:
+    """Weighted minority share per row of counts over (race, weight) cells; None at weight 0."""
+    totals = (counts @ cells[:, 1]).tolist()
+    minority = (counts @ (cells[:, 0] * cells[:, 1])).tolist()
+    return [w1 / w if w > 0.0 else None for w1, w in zip(minority, totals)]
 
 
 @dataclass(frozen=True)
@@ -167,22 +152,36 @@ class SurveyRespondents:
         return len(self.d)
 
     @cached_property
-    def _strata_index(self) -> _StratumIndex:
-        return _StratumIndex(self.x)
+    def _table(self) -> dict[str | None, tuple[np.ndarray, np.ndarray]]:
+        """The sorted distinct (race, weight) cells of each stratum and of the pool
+        (key None), with their respondent counts."""
+        codes, code = _codes(self.x)
+        cells, counts = np.unique(
+            np.column_stack([code, self.d, self.weight]), axis=0, return_counts=True
+        )
+        bounds = np.searchsorted(cells[:, 0], np.arange(len(codes) + 1))
+        table = {
+            key: (cells[lo:hi, 1:], counts[lo:hi])
+            for key, lo, hi in zip(codes, bounds[:-1], bounds[1:])
+        }
+        pooled, inverse = np.unique(cells[:, 1:], axis=0, return_inverse=True)
+        table[None] = (pooled, np.bincount(inverse.ravel(), counts, len(pooled)).astype(np.int64))
+        return table
 
     def _scope(self, x: str | None) -> tuple[np.ndarray, np.ndarray]:
-        """Race and weight of the respondents in stratum ``x`` (None = all), in row order."""
-        if x is None:
-            return self.d, self.weight
-        rows = self._strata_index.rows(x)
-        return self.d[rows], self.weight[rows]
+        """The (race, weight) cells of stratum ``x`` (None = all) and their respondent counts."""
+        return self._table.get(x, (np.empty((0, 2)), np.empty(0, dtype=np.int64)))
+
+    def _share(self, x: str | None) -> float | None:
+        cells, counts = self._scope(x)
+        return _weighted_shares(counts[None, :], cells)[0]
 
     def minority_share(self) -> float | None:
         """Weighted share of minority respondents, or None on zero total weight."""
-        return _weighted_share(self.d, self.weight)
+        return self._share(None)
 
     def shares_by_stratum(self) -> dict[str, float | None]:
-        return {key: _weighted_share(*self._scope(key)) for key in self._strata_index.keys()}
+        return {key: self._share(key) for key in sorted(k for k in self._table if k is not None)}
 
 
 @dataclass(frozen=True)
@@ -231,11 +230,6 @@ class ExternalRaceDistribution:
 
     # -- lookups ---------------------------------------------------------------
 
-    @property
-    def kind(self) -> str:
-        """``SURVEY_RESAMPLED`` when built from respondents, else ``CENSUS_FIXED``."""
-        return CENSUS_FIXED if self.respondents is None else SURVEY_RESAMPLED
-
     def strata(self) -> list[str]:
         return sorted(self.shares)
 
@@ -281,15 +275,12 @@ class ExternalRaceDistribution:
         """
         if self.respondents is None:
             return [self.p1_for(x)] * replicates
-        d, weight = self.respondents._scope(x)
-        m = len(d)
+        cells, counts = self.respondents._scope(x)
+        m = int(counts.sum())
         if m == 0:
             return [self._mixed(None)] * replicates
-        cells, counts = np.unique(np.column_stack([d, weight]), axis=0, return_counts=True)
         draws = rng.multinomial(m, counts / m, size=replicates)
-        totals = (draws @ cells[:, 1]).tolist()
-        minority = (draws @ (cells[:, 0] * cells[:, 1])).tolist()
-        return [self._mixed(w1 / w if w > 0.0 else None) for w1, w in zip(minority, totals)]
+        return [self._mixed(share) for share in _weighted_shares(draws, cells)]
 
 
 def sensitivity_mixture(
@@ -311,8 +302,9 @@ def sensitivity_mixture(
 # -- point estimators ------------------------------------------------------------
 #
 # Each statistic is written once, on the scope's counts (n1, n0, f1, f0): race
-# totals and force counts. The public functions count a dataset's cells and
-# call these; the bootstrap calls them on resampled counts.
+# totals and force counts. The public functions read a scope's cell counts
+# from the dataset's table and call these; the bootstrap calls them on
+# resampled counts.
 
 Counts = tuple[int, int, int, int]
 
@@ -320,11 +312,6 @@ Counts = tuple[int, int, int, int]
 def _cell_totals(c00: int, c01: int, c10: int, c11: int) -> Counts:
     """Counts (n1, n0, f1, f0) from the number of records in each cell 2*d + y."""
     return c10 + c11, c00 + c01, c11, c01
-
-
-def _counts(cells: np.ndarray) -> Counts:
-    """Counts (n1, n0, f1, f0) from cell codes 2*d + y."""
-    return _cell_totals(*np.bincount(cells, minlength=4).tolist())
 
 
 def _rates(counts: Counts, x: str | None, haldane: bool) -> tuple[float, float]:
@@ -379,14 +366,14 @@ def naive_risk_difference(
     data: AdministrativeDataset, x: str | None = None, *, haldane: bool = False
 ) -> float:
     """Difference in record-level force rates, minority minus majority."""
-    return _risk_difference(_counts(data._scope_cells(x)), None, x, haldane)
+    return _risk_difference(_cell_totals(*data._scope_counts(x)), None, x, haldane)
 
 
 def naive_risk_ratio(
     data: AdministrativeDataset, x: str | None = None, *, haldane: bool = False
 ) -> float:
     """Ratio of record-level force rates; ignores selection into the records."""
-    return _risk_ratio(_counts(data._scope_cells(x)), None, x, haldane)
+    return _risk_ratio(_cell_totals(*data._scope_counts(x)), None, x, haldane)
 
 
 def bias_factor(
@@ -402,7 +389,7 @@ def bias_factor(
     inputs give exact output (e.g. detainment share 0.8 against encounter
     share 0.25 yields 12.0 with no rounding).
     """
-    return _bias_factor(_counts(data._scope_cells(x)), external.p1_for(x), x, haldane)
+    return _bias_factor(_cell_totals(*data._scope_counts(x)), external.p1_for(x), x, haldane)
 
 
 def crr_identified(
@@ -413,7 +400,7 @@ def crr_identified(
     haldane: bool = False,
 ) -> float:
     """Causal risk ratio: naive risk ratio corrected by the bias factor."""
-    return _crr(_counts(data._scope_cells(x)), external.p1_for(x), x, haldane)
+    return _crr(_cell_totals(*data._scope_counts(x)), external.p1_for(x), x, haldane)
 
 
 #: Count form of each built-in statistic, and whether it reads the external share.
@@ -497,16 +484,16 @@ def bootstrap(
         raise ValueError(f"bootstrap allows at most {MAX_REPLICATES} replicates")
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
-    cells = data._scope_cells(x)
-    if len(cells) == 0:
+    counts = data._scope_counts(x)
+    n = sum(counts)
+    if n == 0:
         if x is not None:
             raise UnknownStratumError(f"stratum {x!r} has no administrative rows")
         raise MissingGroupError("administrative dataset is empty")
 
-    n = len(cells)
-    point = form(_counts(cells), external.p1_for(x) if reads_share else None, x, haldane)
+    point = form(_cell_totals(*counts), external.p1_for(x) if reads_share else None, x, haldane)
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(n, np.bincount(cells, minlength=4) / n, size=replicates)
+    draws = rng.multinomial(n, np.array(counts) / n, size=replicates)
     shares = external._share_draws(x, rng, replicates) if reads_share else [None] * replicates
     values: list[float] = []
     undefined = 0

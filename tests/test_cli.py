@@ -429,6 +429,12 @@ class TestSensitivity:
         )
         assert code == 2
         assert "citywide" in err
+        code, _, err = run(
+            capsys,
+            ["sensitivity", "--admin", admin, "--census", census, "--citywide-p1", "0.4"],
+        )
+        assert code == 2
+        assert "--lambda is required" in err
 
     @pytest.mark.parametrize("flag", [["--survey", "survey.csv"], ["--survey-mode", "all"]])
     def test_survey_flags_rejected(self, capsys, simulated_inputs, flag):
@@ -654,6 +660,39 @@ class TestConfigAndErrors:
         assert f"config key {key!r}" in err
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"bootsrap": 50}, "bootsrap"),
+            ({"lam": 0.5}, "lam"),
+            ({"seed": 3, "Schema": {}}, "Schema"),
+        ],
+        ids=["typo", "argparse-dest", "case"],
+    )
+    def test_unknown_config_key_is_exit_2(self, capsys, tmp_path, config, key):
+        admin = tmp_path / "admin.csv"
+        admin.write_text("d,y,x\n1,1,a\n1,0,a\n0,1,a\n0,0,a\n")
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        code, out, err = run(
+            capsys, ["estimate", "--admin", str(admin), "--config", str(config_file)]
+        )
+        assert code == 2
+        assert f"unknown config keys: [{key!r}]" in err
+        assert out == ""
+
+    def test_config_keys_of_other_commands_are_accepted(self, capsys, tmp_path):
+        admin = tmp_path / "admin.csv"
+        admin.write_text("d,y,x\n1,1,a\n1,0,a\n0,1,a\n0,0,a\n")
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(
+            {"bootstrap": 20, "lambda": 0.5, "citywide_p1": 0.3, "draws": 10, "schema": None}
+        ))
+        code, _, err = run(
+            capsys, ["estimate", "--admin", str(admin), "--config", str(config_file)]
+        )
+        assert code == 0, err
 
     @pytest.mark.parametrize(
         "schema",

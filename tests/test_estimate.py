@@ -417,9 +417,10 @@ class TestCountPathMatchesRowPath:
             rows += [(int(a), int(b), key) for a, b in zip(d, y)]
         order = rng.permutation(len(rows))
         data = dataset([rows[i] for i in order])
-        # non-integer weights in eighths, whose sums are exact in any order,
-        # so the reference's row sums and the bootstrap's cell sums agree to
-        # the bit; no respondents for "b", and an undefined census share for "c"
+        # non-integer weights in eighths, whose weighted sums are exact, so the
+        # reference's shares of its rebuilt respondents and the bootstrap's
+        # shares of the drawn cell counts agree to the bit; no respondents
+        # for "b", and an undefined census share for "c"
         respondents = SurveyRespondents.from_rows(
             [(int(rng.random() < 0.35), "a", int(rng.integers(1, 25)) / 8) for _ in range(40)]
             + [(int(rng.random() < 0.8), "c", int(rng.integers(1, 25)) / 8) for _ in range(6)]
@@ -582,8 +583,8 @@ class TestSensitivityMixture:
         )
         external = ExternalRaceDistribution.from_survey(respondents)
         mixed = sensitivity_mixture(external, 0.5, 0.8)
-        assert mixed.kind == "survey-resampled"
-        assert sensitivity_mixture(census({"all": 0.2}), 0.5, 0.8).kind == "census-fixed"
+        assert mixed.respondents is not None
+        assert sensitivity_mixture(census({"all": 0.2}), 0.5, 0.8).respondents is None
         redrawn = mixed._share_draws("all", np.random.default_rng(3), 5)
         # the same respondent draw, made by hand: one multinomial over the
         # cells (d=0, w=1) and (d=1, w=1); unit weights, so the share is a mean
@@ -656,9 +657,9 @@ class TestExternalDistribution:
 
     def test_kind_follows_respondents(self):
         respondents = SurveyRespondents.from_rows([(1, "s", 1.0), (0, "s", 1.0)])
-        assert ExternalRaceDistribution.from_survey(respondents).kind == "survey-resampled"
-        assert ExternalRaceDistribution(shares={"s": 0.5}).kind == "census-fixed"
-        assert census({"s": 0.5}).kind == "census-fixed"
+        assert ExternalRaceDistribution.from_survey(respondents).respondents is respondents
+        assert ExternalRaceDistribution(shares={"s": 0.5}).respondents is None
+        assert census({"s": 0.5}).respondents is None
         with pytest.raises(TypeError):
             ExternalRaceDistribution(kind="survey-resampled", shares={"s": 0.5})
 
@@ -675,10 +676,30 @@ class TestDatasets:
             with pytest.raises(ValueError, match="d values"):
                 SurveyRespondents.from_rows([(1, "a", 1.0), (race, "a", 1.0)])
 
-    def test_restrict_keeps_row_order(self):
-        data = dataset([(1, 0, "b"), (0, 1, "a"), (0, 0, "b"), (1, 1, "a"), (1, 1, "b")])
-        # cell code 2*d + y of the rows in stratum "b", in file order
-        assert data._scope_cells("b").tolist() == [2, 0, 3]
-        assert data._scope_cells(None).tolist() == [2, 1, 0, 3, 3]
-        assert len(data._scope_cells("zz")) == 0
-        assert data.strata() == ["a", "b"]
+    def test_scope_counts_per_stratum_and_pooled(self):
+        rows = [(1, 0, "b"), (0, 1, "a"), (0, 0, "b"), (1, 1, "a"), (1, 1, "b"), (1, 0, "b")]
+        x = np.array([row[2] for row in rows], dtype=object)
+        for dtype in (np.int8, bool, float):
+            d, y = (np.array([row[i] for row in rows], dtype=dtype) for i in (0, 1))
+            data = AdministrativeDataset(d, y, x)
+            # records in the cells 2*d + y = (0, 1, 2, 3)
+            assert data._scope_counts("a") == (0, 1, 0, 1), dtype
+            assert data._scope_counts("b") == (1, 0, 2, 1), dtype
+            assert data._scope_counts(None) == (1, 1, 2, 2), dtype
+            assert data._scope_counts("zz") == (0, 0, 0, 0), dtype
+            assert data.strata() == ["a", "b"]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_survey_shares_ignore_row_order(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 500
+        d = (rng.random(n) < 0.4).astype(np.int8)
+        x = np.array([f"s{k}" for k in rng.integers(0, 4, n)], dtype=object)
+        weight = rng.uniform(0.1, 3.0, n)
+        respondents = SurveyRespondents(d, x, weight)
+        order = rng.permutation(n)
+        shuffled = SurveyRespondents(d[order], x[order], weight[order])
+        assert shuffled.shares_by_stratum() == respondents.shares_by_stratum()
+        assert shuffled.minority_share() == respondents.minority_share()
+        row_sum = np.sum(weight * d) / np.sum(weight)
+        assert respondents.minority_share() == pytest.approx(row_sum, rel=1e-12)
