@@ -56,7 +56,6 @@ DEFAULTS = {
     "format": "table",
     "survey_mode": "all",
     "n": 100_000,
-    "shards": 1,
     "draws": 10_000,
     "oracle_n": 100_000,
     "haldane": False,
@@ -90,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model-file", help="population model JSON file")
     p.add_argument("--n", type=int, help="number of encounters (default 100000)")
-    p.add_argument("--shards", type=int, help="independent sampling shards (default 1)")
     p.add_argument("--out-dir", help="directory for the three output artifacts")
 
     p = sub.add_parser("estimands", help="closed-form estimands of a population model")
@@ -135,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--draws", type=int, help="random models for the sign checks (default 10000)")
     p.add_argument("--oracle-n", type=int, help="encounters per oracle comparison (default 100000)")
-    p.add_argument("--self-test-perturb", help=argparse.SUPPRESS)
 
     return parser
 
@@ -206,7 +203,7 @@ def _note(text: str) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, "model_file", "out_dir")
     model = dataio.read_model_file(args.model_file)
-    table = sample_encounters(model, args.n, args.seed, shards=args.shards)
+    table = sample_encounters(model, args.n, args.seed)
     admin = to_administrative(table)
     oracle = oracle_estimands(table)
 
@@ -217,14 +214,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     dataio.write_oracle_report(
         oracle,
         out_dir / "oracle.json",
-        meta={"model": model.to_dict(), "seed": args.seed, "shards": args.shards},
+        meta={"model": model.to_dict(), "seed": args.seed},
     )
 
     rep = Report("simulate")
     rep.add_header("model_file", args.model_file)
     rep.add_header("n", args.n)
     rep.add_header("seed", args.seed)
-    rep.add_header("shards", args.shards)
     rep.add_header("out_dir", str(out_dir))
     rep.add_header("administrative_rows", admin.n)
     for name in ORACLE_FIELDS:
@@ -422,12 +418,7 @@ def cmd_sensitivity(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_verification(
-        seed=args.seed,
-        draws=args.draws,
-        oracle_n=args.oracle_n,
-        perturb=args.self_test_perturb,
-    )
+    results = run_verification(seed=args.seed, draws=args.draws, oracle_n=args.oracle_n)
     passed = sum(r.passed for r in results)
     if args.format == "json-lines":
         for r in results:
@@ -463,7 +454,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "verify":
             return cmd_verify(args)
         raise AssertionError(f"unhandled subcommand {args.subcommand!r}")
-    except (CrrKitError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; a refused numpy allocation (huge --n) is a MemoryError
+    except (CrrKitError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -117,7 +117,8 @@ class AdministrativeDataset:
         return self._table.get(x, (0, 0, 0, 0))
 
     def strata(self) -> list[str]:
-        return sorted({str(key) for key in self._table if key is not None})
+        """The stratum keys as stored, which ``_scope_counts`` and ``bootstrap`` accept."""
+        return sorted((key for key in self._table if key is not None), key=str)
 
 
 def _weighted_shares(counts: np.ndarray, cells: np.ndarray) -> list[float | None]:
@@ -229,9 +230,6 @@ class ExternalRaceDistribution:
         return cls(shares=respondents.shares_by_stratum(), respondents=respondents)
 
     # -- lookups ---------------------------------------------------------------
-
-    def strata(self) -> list[str]:
-        return sorted(self.shares)
 
     def _local_share(self, x: str | None) -> float | None:
         if x is not None:

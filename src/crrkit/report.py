@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 #: Bumped whenever a rendered field name or column changes.
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 #: Explicit token for values that could not be computed.
 UNDEFINED = "undefined"

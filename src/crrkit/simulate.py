@@ -6,11 +6,10 @@ observed detainment and force columns are filled in by consistency. Every
 estimand the closed-form module computes can therefore be checked here by
 direct averaging over rows, with no model formulas involved.
 
-Randomness comes from numpy's PCG64 generator seeded through SeedSequence,
-which gives a documented, splittable stream: sharded sampling derives one
-child seed per shard and concatenates in shard order, so results are
-reproducible for a fixed (model, n, seed, shards). Bit-level reproducibility
-is promised within one implementation only.
+Randomness comes from one numpy PCG64 generator, ``default_rng(seed)``,
+which draws the columns d, s, y01 and y11 in that order, so results are
+reproducible for a fixed (model, n, seed). Bit-level reproducibility is
+promised within one implementation only.
 """
 
 from __future__ import annotations
@@ -46,62 +45,32 @@ class EncounterTable:
     m: np.ndarray
     y: np.ndarray
     x: str
-    model: PopulationModel
-    seed: int
-    shards: int = 1
 
     @property
     def n(self) -> int:
         return len(self.d)
 
 
-def _sample_block(model: PopulationModel, k: int, rng: np.random.Generator):
-    # fixed draw order (d, s, y01, y11) is part of the reproducibility contract
-    d = (rng.random(k) < model.p_d).astype(np.int8)
-    cuts = np.cumsum([model.pi_al, model.pi_mi, model.pi_ma])
-    s = np.searchsorted(cuts, rng.random(k), side="right").astype(np.int8)
-    y01 = (rng.random(k) < model.mu_01).astype(np.int8)
-    y11 = (rng.random(k) < model.mu_11).astype(np.int8)
-    m0 = ((s == 0) | (s == 2)).astype(np.int8)
-    m1 = ((s == 0) | (s == 1)).astype(np.int8)
-    m = np.where(d == 1, m1, m0)
-    y = m * np.where(d == 1, y11, y01)
-    return d, s, m0, m1, y01, y11, m.astype(np.int8), y.astype(np.int8)
-
-
 def sample_encounters(
-    model: PopulationModel,
-    n: int,
-    seed: int,
-    *,
-    x: str = "all",
-    shards: int = 1,
+    model: PopulationModel, n: int, seed: int, *, x: str = "all"
 ) -> EncounterTable:
-    """Draw ``n`` encounters from ``model``; reproducible for fixed inputs.
-
-    With ``shards > 1`` the draw splits into blocks with independently
-    derived child seeds, merged in shard order; useful for parallel workers,
-    but note the stream differs from the single-shard stream.
-    """
+    """Draw ``n`` encounters from ``model``; reproducible for fixed inputs."""
     if not isinstance(model, PopulationModel):
         raise TypeError("model must be a PopulationModel")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if shards < 1 or shards > n:
-        raise ValueError(f"shards must lie in [1, n], got {shards}")
-
-    root = np.random.SeedSequence(seed)
-    if shards == 1:
-        blocks = [_sample_block(model, n, np.random.default_rng(root))]
-    else:
-        base, rem = divmod(n, shards)
-        sizes = [base + (1 if i < rem else 0) for i in range(shards)]
-        blocks = [
-            _sample_block(model, size, np.random.default_rng(child))
-            for size, child in zip(sizes, root.spawn(shards))
-        ]
-    cols = [np.concatenate(parts) for parts in zip(*blocks)]
-    return EncounterTable(*cols, x=x, model=model, seed=seed, shards=shards)
+    rng = np.random.default_rng(seed)
+    # fixed draw order (d, s, y01, y11) is part of the reproducibility contract
+    d = (rng.random(n) < model.p_d).astype(np.int8)
+    cuts = np.cumsum([model.pi_al, model.pi_mi, model.pi_ma])
+    s = np.searchsorted(cuts, rng.random(n), side="right").astype(np.int8)
+    y01 = (rng.random(n) < model.mu_01).astype(np.int8)
+    y11 = (rng.random(n) < model.mu_11).astype(np.int8)
+    m0 = ((s == 0) | (s == 2)).astype(np.int8)
+    m1 = ((s == 0) | (s == 1)).astype(np.int8)
+    m = np.where(d == 1, m1, m0)
+    y = m * np.where(d == 1, y11, y01)
+    return EncounterTable(d, s, m0, m1, y01, y11, m, y, x=x)
 
 
 def to_administrative(table: EncounterTable) -> AdministrativeDataset:

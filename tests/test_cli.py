@@ -3,13 +3,15 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import crrkit.verify
 from crrkit.cli import main
 from crrkit.dataio import write_model_file
-from crrkit.model import PopulationModel
+from crrkit.model import Estimand, PopulationModel, weights_of
 from crrkit.verify import TOY_MODEL, sign_reversal_witnesses
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,6 +96,13 @@ class TestSimulate:
                 )
             )
         assert outputs[0] == outputs[1]
+
+    def test_shards_flag_is_exit_2(self, capsys, tmp_path, toy_model_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--model-file", toy_model_file, "--n", "100",
+                  "--shards", "2", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
 
 
 class TestEstimands:
@@ -455,12 +464,16 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("PASS") == 8
 
-    def test_perturbation_fails_the_witness_check(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["verify", "--draws", "500", "--oracle-n", "5000",
-             "--self-test-perturb", "ate-m1-weight"],
-        )
+    def test_perturbation_fails_the_witness_check(self, capsys, monkeypatch):
+        # inflating one stratum weight of the ATE_M1 witnesses must fail the suite
+        def perturbed(estimand, model):
+            weights = weights_of(estimand, model)
+            if estimand is Estimand.ATE_M1:
+                weights = replace(weights, w_mi=weights.w_mi + 0.01)
+            return weights
+
+        monkeypatch.setattr(crrkit.verify, "weights_of", perturbed)
+        code, out, _ = run(capsys, ["verify", "--draws", "500", "--oracle-n", "5000"])
         assert code == 1
         assert "FAIL" in out
 
@@ -540,6 +553,24 @@ class TestConfigAndErrors:
         assert code == 0, err
         # force rate 1/2 among minority records over 1/3 among majority records
         assert point_of(parse_csv_rows(out), "naive-rr") == pytest.approx(1.5)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model-file", "{model}", "--out-dir", "{out}", "--n", "{huge}"],
+            ["verify", "--draws", "1", "--oracle-n", "{huge}"],
+        ],
+        ids=["simulate", "verify"],
+    )
+    def test_unallocatable_size_is_exit_2(self, capsys, tmp_path, toy_model_file, argv):
+        # 10**15 float64 draws need 7.1 PiB, beyond any user address space, so
+        # the allocation is refused whatever the host's overcommit setting
+        argv = [a.format(model=toy_model_file, out=tmp_path / "out", huge=10**15) for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_missing_input_file_is_exit_2(self, capsys):
         code, _, err = run(capsys, ["estimands", "--model-file", "/nonexistent.json"])
@@ -667,8 +698,10 @@ class TestConfigAndErrors:
             ({"bootsrap": 50}, "bootsrap"),
             ({"lam": 0.5}, "lam"),
             ({"seed": 3, "Schema": {}}, "Schema"),
+            ({"shards": 2}, "shards"),
+            ({"self_test_perturb": "ate-m1-weight"}, "self_test_perturb"),
         ],
-        ids=["typo", "argparse-dest", "case"],
+        ids=["typo", "argparse-dest", "case", "removed-shards", "removed-perturb"],
     )
     def test_unknown_config_key_is_exit_2(self, capsys, tmp_path, config, key):
         admin = tmp_path / "admin.csv"

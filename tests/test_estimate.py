@@ -689,6 +689,15 @@ class TestDatasets:
             assert data._scope_counts("zz") == (0, 0, 0, 0), dtype
             assert data.strata() == ["a", "b"]
 
+    def test_listed_strata_are_accepted_by_bootstrap(self):
+        # a non-string key is listed as stored, so bootstrap can scope to it
+        data = AdministrativeDataset.from_rows([(1, 1, 7), (1, 0, 7), (0, 1, 7), (0, 0, 7)])
+        assert data.strata() == [7]
+        for key in data.strata():
+            assert data._scope_counts(key) == (1, 1, 1, 1)
+            estimate = bootstrap(naive_risk_ratio, data, x=key, replicates=5)
+            assert estimate.point == pytest.approx(1.0)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_survey_shares_ignore_row_order(self, seed):
         rng = np.random.default_rng(seed)

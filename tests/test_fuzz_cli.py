@@ -198,7 +198,6 @@ MODEL_FLAG_VALUES = {
     "model-file": ((f"{DIR}/model.json",), (f"{DIR}/missing.json", DIR)),
     "out-dir": ((f"{DIR}/out",), (f"{DIR}/model.json",)),
     "n": (("1", "7", "60"), ("0", "-1", "x", "2.5")),
-    "shards": (("1", "2"), ("0", "-1", "61", "x")),
     "seed": (("0", "7"), ("-1", "x")),
     "format": (("table", "csv", "json-lines"), ("xml",)),
     "draws": (("1", "20", "200"), ("0", "-5", "x", "1e3")),
@@ -207,7 +206,7 @@ MODEL_FLAG_VALUES = {
 #: Per command: the flags it always gets, then those it may get. ``n``, ``draws`` and
 #: ``oracle-n`` are never dropped, so no example runs at the default sizes.
 MODEL_COMMAND_FLAGS = {
-    "simulate": (("model-file", "out-dir", "n"), ("shards", "seed", "format")),
+    "simulate": (("model-file", "out-dir", "n"), ("seed", "format")),
     "estimands": (("model-file",), ("seed", "format")),
     "verify": (("draws", "oracle-n"), ("seed", "format")),
 }

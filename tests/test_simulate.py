@@ -56,37 +56,32 @@ class TestSampling:
         c = sample_encounters(TOY_MODEL, 5000, seed=12)
         assert not np.array_equal(a.d, c.d)
 
-    def test_sharded_sampling_is_deterministic(self):
-        a = sample_encounters(TOY_MODEL, 5000, seed=11, shards=4)
-        b = sample_encounters(TOY_MODEL, 5000, seed=11, shards=4)
-        assert np.array_equal(a.d, b.d) and np.array_equal(a.y, b.y)
-        assert a.n == 5000
-        # shard sizes must cover n even when it does not divide evenly
-        assert sample_encounters(TOY_MODEL, 5003, seed=2, shards=4).n == 5003
-
-    def test_shard_merge_order_is_by_shard_index(self):
-        # each shard is an independent stream from the i-th child seed, and
-        # the table is their concatenation in shard order
-        from crrkit.simulate import _sample_block
-
-        n, shards, seed = 1003, 3, 11
-        table = sample_encounters(TOY_MODEL, n, seed=seed, shards=shards)
-        base, rem = divmod(n, shards)
-        sizes = [base + (1 if i < rem else 0) for i in range(shards)]
-        children = np.random.SeedSequence(seed).spawn(shards)
-        offset = 0
-        for size, child in zip(sizes, children):
-            block = _sample_block(TOY_MODEL, size, np.random.default_rng(child))
-            assert np.array_equal(table.d[offset : offset + size], block[0])
-            assert np.array_equal(table.y[offset : offset + size], block[7])
-            offset += size
-        assert offset == n
+    def test_stream_matches_reference_draws(self):
+        # one default_rng(seed) draws d, s, y01 and y11 in that order; the
+        # detainment and observed columns follow by consistency
+        n, seed = 1003, 11
+        table = sample_encounters(TOY_MODEL, n, seed=seed)
+        rng = np.random.default_rng(seed)
+        d = rng.random(n) < TOY_MODEL.p_d
+        u = rng.random(n)
+        cuts = (TOY_MODEL.pi_al, TOY_MODEL.pi_al + TOY_MODEL.pi_mi,
+                TOY_MODEL.pi_al + TOY_MODEL.pi_mi + TOY_MODEL.pi_ma)
+        s = (u >= cuts[0]).astype(int) + (u >= cuts[1]) + (u >= cuts[2])
+        y01 = rng.random(n) < TOY_MODEL.mu_01
+        y11 = rng.random(n) < TOY_MODEL.mu_11
+        m0 = (s == 0) | (s == 2)
+        m1 = (s == 0) | (s == 1)
+        m = np.where(d, m1, m0)
+        y = m & np.where(d, y11, y01)
+        expected = {"d": d, "s": s, "m0": m0, "m1": m1, "y01": y01, "y11": y11, "m": m, "y": y}
+        for col, values in expected.items():
+            column = getattr(table, col)
+            assert column.dtype == np.int8, col
+            assert np.array_equal(column, values.astype(np.int8)), col
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
             sample_encounters(TOY_MODEL, 0, seed=1)
-        with pytest.raises(ValueError):
-            sample_encounters(TOY_MODEL, 10, seed=1, shards=11)
         with pytest.raises(TypeError):
             sample_encounters({"p_d": 0.5}, 10, seed=1)
 
