@@ -443,6 +443,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _merge_config(parser, args)
         _apply_defaults(args)
+        if args.seed < 0:  # numpy would reject it only after the inputs are read, naming no flag
+            raise DataError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.subcommand == "simulate":
             return cmd_simulate(args)
         if args.subcommand == "estimands":

@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -171,8 +172,9 @@ def _read_rows(
     path: str | Path,
     required: Sequence[str],
     parse: Callable[[list[str], dict[str, int], int], tuple | None],
+    values: list | array,
     skip_unparseable: bool = False,
-) -> tuple[list, LoadReport]:
+) -> LoadReport:
     """Parse each data row of a CSV file with ``parse(row, indices, line)``.
 
     ``indices`` maps every header name to its position and ``line`` is the
@@ -182,7 +184,7 @@ def _read_rows(
     ``skip_unparseable`` it is counted and skipped instead. Text the csv
     module cannot split into fields always stops the load.
 
-    The loaded rows' values come back in one flat list, row after row, so
+    The loaded rows' values extend the caller's ``values``, row after row, so
     column ``i`` of rows with ``k`` values is ``values[i::k]``; a tuple per
     row would hold several times the memory of the columns.
     """
@@ -197,7 +199,6 @@ def _read_rows(
             if missing:
                 raise MissingColumnError(f"{path}: missing columns {missing}; header was {header}")
             width = len(header)
-            values = []
             loaded = dropped = unparseable = 0
             for row in reader:
                 try:
@@ -219,7 +220,7 @@ def _read_rows(
         except csv.Error as exc:  # malformed CSV, e.g. a field over the csv module's size limit
             raise UnparseableRowError(str(exc), reader.line_num) from exc
     physical = loaded + dropped + unparseable
-    return values, LoadReport(str(path), physical, loaded, dropped, unparseable)
+    return LoadReport(str(path), physical, loaded, dropped, unparseable)
 
 
 def _stratum_key(
@@ -260,23 +261,26 @@ def load_administrative(
 
     Rows with a race string outside the race map are dropped and counted.
     Malformed rows raise UnparseableRowError with the physical line number;
-    with ``skip_unparseable`` they are counted and skipped instead.
+    with ``skip_unparseable`` they are counted and skipped instead. Each
+    record is packed as it is read into one int32 cell, so the load keeps
+    one string per stratum, not one per row.
     """
     race, force, strata, race_map = (
         config.race_column, config.force_column, config.stratum_columns, config.race_map
     )
+    codes: dict[str, int] = {}
 
     def parse(row: list[str], indices: dict[str, int], line: int) -> tuple | None:
         d = race_map.get(row[indices[race]].strip())
         if d is None:
             return None
-        return d, _parse_binary(row[indices[force]], "force", line), _stratum_key(
-            row, indices, strata, line
-        )
+        y = _parse_binary(row[indices[force]], "force", line)
+        key = _stratum_key(row, indices, strata, line)
+        return (4 * codes.setdefault(key, len(codes)) + 2 * d + y,)
 
-    values, report = _read_rows(path, [race, force, *strata], parse, skip_unparseable)
-    d, y = (np.array(values[i::3], dtype=np.int8) for i in (0, 1))
-    return AdministrativeDataset(d, y, np.array(values[2::3], dtype=object)), report
+    cells = array("i")
+    report = _read_rows(path, [race, force, *strata], parse, cells, skip_unparseable)
+    return AdministrativeDataset(np.frombuffer(cells, dtype=np.intc), tuple(codes)), report
 
 
 CENSUS_COLUMNS = ("stratum", "count_d1", "count_d0")
@@ -300,7 +304,8 @@ def load_census(path: str | Path) -> tuple[ExternalRaceDistribution, LoadReport]
             raise NegativeCountError(f"{path} line {line}: counts must be finite and nonnegative")
         return row[indices["stratum"]].strip(), c1, c0
 
-    values, report = _read_rows(path, CENSUS_COLUMNS, parse)
+    values: list = []
+    report = _read_rows(path, CENSUS_COLUMNS, parse, values)
     counts: dict[str, tuple[float, float]] = {}
     for key, c1, c0 in zip(values[0::3], values[1::3], values[2::3]):  # duplicates accumulate
         old1, old0 = counts.get(key, (0.0, 0.0))
@@ -370,7 +375,8 @@ def load_survey(
         return d, public, vehicle, other, contacts, metro, key
 
     required = [schema.race_column, *schema.stratum_columns]
-    values, report = _read_rows(path, required, parse, skip_unparseable)
+    values: list = []
+    report = _read_rows(path, required, parse, values, skip_unparseable)
     width = len(fields(SurveyTable))
     return SurveyTable(*(tuple(values[i::width]) for i in range(width))), report
 
@@ -461,8 +467,7 @@ def write_administrative(dataset: AdministrativeDataset, path: str | Path) -> No
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(("d", "y", "x"))
-        for i in range(dataset.n):
-            writer.writerow((int(dataset.d[i]), int(dataset.y[i]), str(dataset.x[i])))
+        writer.writerows(zip(dataset.d.tolist(), dataset.y.tolist(), map(str, dataset.x.tolist())))
 
 
 def write_oracle_report(

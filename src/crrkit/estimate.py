@@ -29,6 +29,7 @@ cell after them), then evaluates the statistic on each replicate's counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -72,43 +73,70 @@ def _codes(x: np.ndarray) -> tuple[dict, np.ndarray]:
 
 @dataclass(frozen=True)
 class AdministrativeDataset:
-    """Detainment records: race indicator, force indicator, stratum key per row."""
+    """Detainment records, packed: one int32 ``cell = 4*code + 2*d + y`` per row.
 
-    d: np.ndarray
-    y: np.ndarray
-    x: np.ndarray
+    ``code`` indexes ``keys``, the stratum key of each code, so a record holds
+    no Python object. The race, force and stratum columns ``d``, ``y`` and
+    ``x`` are derived on each read; ``from_columns`` builds a dataset from them.
+    """
+
+    cell: np.ndarray
+    keys: tuple
 
     def __post_init__(self) -> None:
-        if not (len(self.d) == len(self.y) == len(self.x)):
+        if len(set(self.keys)) != len(self.keys):
+            raise ValueError("stratum keys must be distinct")
+        if len(self.cell) and (self.cell.min() < 0 or self.cell.max() >= 4 * len(self.keys)):
+            raise ValueError("cells must lie in [0, 4 * len(keys))")
+
+    @classmethod
+    def from_columns(cls, d, y, x) -> "AdministrativeDataset":
+        """Encode race and force 0/1 columns (int, bool or float) and a stratum key column."""
+        if not (len(d) == len(y) == len(x)):
             raise ValueError("column arrays must have equal length")
-        _check_binary("d", self.d)
-        _check_binary("y", self.y)
+        _check_binary("d", d)
+        _check_binary("y", y)
+        codes, cell = _codes(x)
+        for column in (d, y):  # cell = 4*code + 2*d + y, in place on int32
+            cell *= 2
+            cell += np.asarray(column, dtype=np.int8)
+        return cls(cell, tuple(codes))
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[int, int, str]]) -> "AdministrativeDataset":
-        return cls(*_columns(rows, np.int8, np.int8, object))
+        return cls.from_columns(*_columns(rows, np.int8, np.int8, object))
 
     @classmethod
     def concat(cls, parts: Sequence["AdministrativeDataset"]) -> "AdministrativeDataset":
-        return cls(
+        return cls.from_columns(
             np.concatenate([p.d for p in parts]) if parts else np.empty(0, np.int8),
             np.concatenate([p.y for p in parts]) if parts else np.empty(0, np.int8),
             np.concatenate([p.x for p in parts]) if parts else np.empty(0, object),
         )
 
     @property
+    def d(self) -> np.ndarray:
+        return (self.cell >> 1 & 1).astype(np.int8)
+
+    @property
+    def y(self) -> np.ndarray:
+        return (self.cell & 1).astype(np.int8)
+
+    @property
+    def x(self) -> np.ndarray:
+        # fromiter keeps a tuple key one object, where np.array would unpack it
+        keys = np.fromiter(self.keys, dtype=object, count=len(self.keys))
+        return keys[self.cell >> 2]
+
+    @property
     def n(self) -> int:
-        return len(self.d)
+        return len(self.cell)
 
     @cached_property
     def _table(self) -> dict[str | None, tuple[int, int, int, int]]:
         """Record counts in the cells 2*d + y of each stratum, and of the pool (key None)."""
-        codes, cell = _codes(self.x)
-        for column in (self.d, self.y):  # cell = 4*code + 2*d + y, in place on int32
-            cell *= 2
-            cell += np.asarray(column, dtype=np.int8)
-        table = np.bincount(cell, minlength=4 * len(codes)).reshape(-1, 4)
-        counts = dict(zip(codes, map(tuple, table.tolist())))
+        table = np.bincount(self.cell, minlength=4 * len(self.keys)).reshape(-1, 4)
+        counts = dict(zip(self.keys, map(tuple, table.tolist())))
         counts[None] = tuple(table.sum(axis=0).tolist())
         return counts
 
@@ -117,8 +145,8 @@ class AdministrativeDataset:
         return self._table.get(x, (0, 0, 0, 0))
 
     def strata(self) -> list[str]:
-        """The stratum keys as stored, which ``_scope_counts`` and ``bootstrap`` accept."""
-        return sorted((key for key in self._table if key is not None), key=str)
+        """The keys of the strata with records, as stored: those ``bootstrap`` accepts."""
+        return sorted((key for key in self.keys if any(self._table[key])), key=str)
 
 
 def _weighted_shares(counts: np.ndarray, cells: np.ndarray) -> list[float | None]:
@@ -441,6 +469,29 @@ Statistic = Callable[..., float]
 MAX_REPLICATES = 100_000
 
 
+def _percentiles(values: Sequence[float], levels: Sequence[float]) -> list[float]:
+    """``np.quantile(values, levels)`` for NaN-free values, bit for bit, without numpy.
+
+    It follows numpy's default ``linear`` method: the virtual index is
+    ``v = (n - 1) * q``; below the last index it interpolates between the
+    order statistics at ``floor(v)`` and ``floor(v) + 1`` with weight
+    ``t = v - floor(v)``, and at or past it both are the last value and the
+    index taken for ``floor(v)`` is -1. np.quantile itself calls np.unique,
+    which imports numpy.ma on first use.
+    """
+    ordered = sorted(values)
+    last = len(ordered) - 1
+    result = []
+    for q in levels:
+        v = last * q
+        i = math.floor(v) if v < last else -1
+        a, b = ordered[i], ordered[i + 1 if i >= 0 else -1]
+        t = v - i
+        diff = b - a
+        result.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return result
+
+
 def bootstrap(
     statistic: Statistic,
     data: AdministrativeDataset,
@@ -505,7 +556,7 @@ def bootstrap(
             f"{undefined} of {replicates} bootstrap replicates were undefined"
         )
     alpha = 1.0 - level
-    lo, hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
+    lo, hi = _percentiles(values, (alpha / 2.0, 1.0 - alpha / 2.0))
     return EstimateWithCI(
         point=float(point),
         lo=float(lo),

@@ -74,14 +74,9 @@ def sample_encounters(
 
 
 def to_administrative(table: EncounterTable) -> AdministrativeDataset:
-    """Project the detained rows (m = 1) to the observable (d, y, x) columns."""
+    """Project the detained rows (m = 1) to the observable (d, y, x) records."""
     mask = table.m == 1
-    count = int(np.sum(mask))
-    return AdministrativeDataset(
-        d=table.d[mask].copy(),
-        y=table.y[mask].copy(),
-        x=np.full(count, table.x, dtype=object),
-    )
+    return AdministrativeDataset((2 * table.d[mask] + table.y[mask]).astype(np.int32), (table.x,))
 
 
 def external_from_tables(tables: list[EncounterTable]) -> ExternalRaceDistribution:

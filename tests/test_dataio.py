@@ -1,6 +1,7 @@
 """Loader tests: schema mapping, drop accounting, survey modes, round trips."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,24 @@ class TestAdministrativeLoader:
         assert np.array_equal(a.d, b.d)
         assert np.array_equal(a.y, b.y)
         assert list(a.x) == list(b.x)
+
+    def test_loaded_records_hold_a_few_bytes_each(self, tmp_path):
+        # one int32 cell per record and one key per stratum; a str, int or
+        # tuple object kept per record would hold 28 bytes or more
+        n = 100_000
+        rng = np.random.default_rng(0)
+        d, y, x = rng.integers(0, 2, n), rng.integers(0, 2, n), rng.integers(0, 50, n)
+        path = write(
+            tmp_path, "admin.csv", "d,y,x\n" + "".join(f"{a},{b},p{c}\n" for a, b, c in zip(d, y, x))
+        )
+        tracemalloc.start()
+        try:
+            data, report = load_administrative(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert report.n_loaded == data.n == n
+        assert held < 8 * n, held / n
 
     def test_race_map_is_mandatory(self):
         with pytest.raises(ValueError):

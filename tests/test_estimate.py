@@ -1,11 +1,12 @@
 """Estimator tests: point estimators, bootstrap contract, strata, sensitivity."""
 
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crrkit.errors import (
@@ -22,6 +23,7 @@ from crrkit.estimate import (
     EstimateWithCI,
     ExternalRaceDistribution,
     SurveyRespondents,
+    _percentiles,
     bias_factor,
     bootstrap,
     crr_identified,
@@ -346,7 +348,7 @@ def multinomial_bootstrap(statistic, data, external=None, *, x=None, level=0.95,
             return statistic(rows, ext, x, haldane=haldane)
         return statistic(rows, x, haldane=haldane)
 
-    point = call(AdministrativeDataset(d, y, data.x[keep]), external)
+    point = call(AdministrativeDataset.from_columns(d, y, data.x[keep]), external)
     rng = np.random.default_rng(seed)
     cell_d, cell_y = np.array([0, 0, 1, 1], np.int8), np.array([0, 1, 0, 1], np.int8)
     cell_counts = np.array([np.sum((d == a) & (y == b)) for a, b in zip(cell_d, cell_y)])
@@ -376,7 +378,7 @@ def multinomial_bootstrap(statistic, data, external=None, *, x=None, level=0.95,
             ))
     values, undefined = [], 0
     for counts, boot_external in zip(draws, externals):
-        boot_data = AdministrativeDataset(
+        boot_data = AdministrativeDataset.from_columns(
             np.repeat(cell_d, counts), np.repeat(cell_y, counts),
             np.full(int(np.sum(counts)), label, dtype=object),
         )
@@ -470,6 +472,40 @@ class TestCountPathMatchesRowPath:
                 assert outcome(bootstrap, statistic, data, external, **kwargs) == expected
                 if not haldane:
                     assert 0 < expected.undefined_replicates < 200
+
+
+class TestPercentiles:
+    """``bootstrap``'s interval ends equal np.quantile's default linear method to the bit."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False),  # infinities included
+                st.integers(-4, 4).map(float),  # ties, integers stored as floats
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.sampled_from([1e-12, 2.0**-53, 0.95, 1.0 - 2.0**-53, 1.0 - 1e-12]),
+        ),
+    )
+    @example([-0.0], 0.95)  # past the last index numpy's weight is v + 1, which keeps the sign
+    @settings(max_examples=400, deadline=None)
+    def test_matches_numpy_quantile(self, values, level):
+        if len({math.copysign(1.0, v) for v in values if v == 0.0}) == 2:
+            # signed zeros tie, and np.quantile's partition leaves their order unspecified
+            values = [v + 0.0 for v in values]
+        alpha = 1.0 - level
+        levels = (alpha / 2.0, 1.0 - alpha / 2.0)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in the interpolation
+            expected = np.quantile(values, list(levels)).tolist()
+        for got, want in zip(_percentiles(values, levels), expected):
+            if math.isnan(want):
+                assert math.isnan(got)
+            else:
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 class TestStratified:
@@ -681,7 +717,7 @@ class TestDatasets:
         x = np.array([row[2] for row in rows], dtype=object)
         for dtype in (np.int8, bool, float):
             d, y = (np.array([row[i] for row in rows], dtype=dtype) for i in (0, 1))
-            data = AdministrativeDataset(d, y, x)
+            data = AdministrativeDataset.from_columns(d, y, x)
             # records in the cells 2*d + y = (0, 1, 2, 3)
             assert data._scope_counts("a") == (0, 1, 0, 1), dtype
             assert data._scope_counts("b") == (1, 0, 2, 1), dtype
@@ -712,3 +748,30 @@ class TestDatasets:
         assert shuffled.minority_share() == respondents.minority_share()
         row_sum = np.sum(weight * d) / np.sum(weight)
         assert respondents.minority_share() == pytest.approx(row_sum, rel=1e-12)
+
+    def test_columns_round_trip_through_from_columns_and_concat(self):
+        rows = [(1, 0, "b"), (0, 1, "a"), (0, 0, 7), (1, 1, "a"), (1, 1, "b")]
+        d, y = (np.array([row[i] for row in rows], dtype=np.int8) for i in (0, 1))
+        x = np.array([row[2] for row in rows], dtype=object)
+        data = AdministrativeDataset.from_columns(d, y, x)
+        halves = [AdministrativeDataset.from_rows(rows[:2]), AdministrativeDataset.from_rows(rows[2:])]
+        for packed in (data, AdministrativeDataset.concat(halves)):
+            assert packed.n == len(rows)
+            assert packed.d.dtype == packed.y.dtype == np.int8 and packed.x.dtype == object
+            assert packed.d.tolist() == d.tolist()
+            assert packed.y.tolist() == y.tolist()
+            assert packed.x.tolist() == x.tolist()
+            assert packed.strata() == [7, "a", "b"]
+        with pytest.raises(AttributeError):
+            data.d = d
+        empty = AdministrativeDataset.concat([])
+        assert empty.n == 0 and empty.strata() == []
+        assert (empty.d.tolist(), empty.y.tolist(), empty.x.tolist()) == ([], [], [])
+
+    def test_packed_cells_checked_and_unused_keys_not_listed(self):
+        data = AdministrativeDataset(np.array([0, 3, 1], np.int32), ("a", "unused"))
+        assert data.strata() == ["a"]
+        assert data._scope_counts("unused") == (0, 0, 0, 0)
+        for cell, keys in (([4], ("a",)), ([-1], ("a",)), ([0], ("a", "a"))):
+            with pytest.raises(ValueError):
+                AdministrativeDataset(np.array(cell, np.int32), keys)
