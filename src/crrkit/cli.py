@@ -61,6 +61,9 @@ DEFAULTS = {
     "haldane": False,
 }
 
+#: Largest --n and --oracle-n: numpy's largest array length.
+MAX_SIZE = int(np.iinfo(np.intp).max)
+
 #: Config-file key and flag name for the one argparse dest that cannot use its own name.
 CONFIG_ALIASES = {"lam": "lambda"}
 
@@ -445,6 +448,11 @@ def main(argv: list[str] | None = None) -> int:
         _apply_defaults(args)
         if args.seed < 0:  # numpy would reject it only after the inputs are read, naming no flag
             raise DataError(f"--seed must be a non-negative integer, got {args.seed}")
+        for dest in ("n", "oracle_n"):  # numpy's own errors would name no flag
+            size = getattr(args, dest, None)
+            if size is not None and not 1 <= size <= MAX_SIZE:
+                flag = "--" + dest.replace("_", "-")
+                raise DataError(f"{flag} must be an integer from 1 to {MAX_SIZE}, got {size}")
         if args.subcommand == "simulate":
             return cmd_simulate(args)
         if args.subcommand == "estimands":

@@ -50,8 +50,8 @@ from .estimate import (
     ExternalRaceDistribution,
     SurveyRespondents,
 )
-from .model import PopulationModel
-from .simulate import STRATUM_LABELS, EncounterTable, OracleReport
+from .model import STRATA, PopulationModel
+from .simulate import EncounterTable, OracleReport
 
 #: Tokens treated as a missing value in survey item columns.
 MISSING_TOKENS = ("", "NA", "na", "N/A")
@@ -442,7 +442,6 @@ ENCOUNTER_COLUMNS = ("d", "s", "m0", "m1", "y01", "y11", "m", "y", "x")
 
 def write_encounters(table: EncounterTable, path: str | Path) -> None:
     """Write the full potential-outcome table as CSV (debugging aid)."""
-    labels = STRATUM_LABELS
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(ENCOUNTER_COLUMNS)
@@ -450,7 +449,7 @@ def write_encounters(table: EncounterTable, path: str | Path) -> None:
             writer.writerow(
                 (
                     int(table.d[i]),
-                    labels[table.s[i]],
+                    STRATA[table.s[i]],
                     int(table.m0[i]),
                     int(table.m1[i]),
                     int(table.y01[i]),

@@ -4,7 +4,8 @@ Sampling follows the model's independent-error structure: race, principal
 stratum and the two force counterfactuals are drawn independently, then the
 observed detainment and force columns are filled in by consistency. Every
 estimand the closed-form module computes can therefore be checked here by
-direct averaging over rows, with no model formulas involved.
+direct averaging over the realized rows, with no model formulas involved;
+the oracle averages them through the counts of their 0/1 cells.
 
 Randomness comes from one numpy PCG64 generator, ``default_rng(seed)``,
 which draws the columns d, s, y01 and y11 in that order, so results are
@@ -15,15 +16,13 @@ promised within one implementation only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .estimate import AdministrativeDataset, ExternalRaceDistribution
-from .model import STRATA, PopulationModel
-
-#: Stratum code order used in the ``s`` column: 0=al, 1=mi, 2=ma, 3=ne.
-STRATUM_LABELS = STRATA
+from .model import PopulationModel
 
 
 @dataclass(frozen=True)
@@ -51,26 +50,29 @@ class EncounterTable:
         return len(self.d)
 
 
-def sample_encounters(
-    model: PopulationModel, n: int, seed: int, *, x: str = "all"
-) -> EncounterTable:
+def sample_encounters(model: PopulationModel, n: int, seed: int, *, x: str = "all") -> EncounterTable:
     """Draw ``n`` encounters from ``model``; reproducible for fixed inputs."""
     if not isinstance(model, PopulationModel):
         raise TypeError("model must be a PopulationModel")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    # fixed draw order (d, s, y01, y11) is part of the reproducibility contract
-    d = (rng.random(n) < model.p_d).astype(np.int8)
-    cuts = np.cumsum([model.pi_al, model.pi_mi, model.pi_ma])
-    s = np.searchsorted(cuts, rng.random(n), side="right").astype(np.int8)
-    y01 = (rng.random(n) < model.mu_01).astype(np.int8)
-    y11 = (rng.random(n) < model.mu_11).astype(np.int8)
-    m0 = ((s == 0) | (s == 2)).astype(np.int8)
-    m1 = ((s == 0) | (s == 1)).astype(np.int8)
-    m = np.where(d == 1, m1, m0)
-    y = m * np.where(d == 1, y11, y01)
-    return EncounterTable(d, s, m0, m1, y01, y11, m, y, x=x)
+    # fixed draw order (d, s, y01, y11) is part of the reproducibility contract;
+    # each 0/1 column is a comparison's bool array viewed as int8, not copied
+    minority = rng.random(n) < model.p_d
+    u = rng.random(n)
+    # s counts the stratum cuts at or below u, as searchsorted(cuts, u, side="right")
+    s = (u >= model.pi_al).view(np.int8)
+    s += u >= model.pi_al + model.pi_mi
+    s += u >= model.pi_al + model.pi_mi + model.pi_ma
+    del u  # freed before the next draw, so at most one float64 column is alive
+    y01 = (rng.random(n) < model.mu_01).view(np.int8)
+    y11 = (rng.random(n) < model.mu_11).view(np.int8)
+    m0 = ((s & 1) == 0).view(np.int8)  # stopped as majority: al (0) and ma (2)
+    m1 = (s < 2).view(np.int8)  # stopped as minority: al (0) and mi (1)
+    m = np.where(minority, m1, m0)
+    y = m & np.where(minority, y11, y01)
+    return EncounterTable(minority.view(np.int8), s, m0, m1, y01, y11, m, y, x=x)
 
 
 def to_administrative(table: EncounterTable) -> AdministrativeDataset:
@@ -88,12 +90,8 @@ def external_from_tables(tables: list[EncounterTable]) -> ExternalRaceDistributi
     """
     counts: dict[str, tuple[float, float]] = {}
     for t in tables:
-        c1 = float(np.sum(t.d == 1))
-        c0 = float(np.sum(t.d == 0))
-        if t.x in counts:
-            old1, old0 = counts[t.x]
-            c1, c0 = c1 + old1, c0 + old0
-        counts[t.x] = (c1, c0)
+        old1, old0 = counts.get(t.x, (0.0, 0.0))
+        counts[t.x] = (float(np.sum(t.d == 1)) + old1, float(np.sum(t.d == 0)) + old0)
     return ExternalRaceDistribution.census_from_counts(counts)
 
 
@@ -121,23 +119,21 @@ class OracleEstimate:
         return self.value is not None
 
 
-def _mean_estimate(values: np.ndarray) -> OracleEstimate:
-    k = len(values)
-    if k == 0:
-        return OracleEstimate(None, None)
-    value = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(k)) if k >= 2 else None
-    return OracleEstimate(value, se)
-
-
-def _group_stats(values: np.ndarray) -> tuple[int, float, float | None]:
-    k = len(values)
-    mean = float(np.mean(values)) if k else 0.0
-    var = float(np.var(values, ddof=1)) if k >= 2 else None
+def _group_stats(counts: Counter) -> tuple[int, float, float | None]:
+    """Size, mean and ddof=1 variance of a group given as a value -> count map."""
+    k = sum(counts.values())
+    mean = sum(v * c for v, c in counts.items()) / k if k else 0.0
+    var = math.fsum(c * (v - mean) ** 2 for v, c in counts.items()) / (k - 1) if k >= 2 else None
     return k, mean, var
 
 
-def _ratio_estimate(num: np.ndarray, den: np.ndarray) -> OracleEstimate:
+def _mean_estimate(counts: Counter) -> OracleEstimate:
+    k, mean, var = _group_stats(counts)
+    se = math.sqrt(var) / math.sqrt(k) if var is not None else None
+    return OracleEstimate(mean, se) if k else OracleEstimate(None, None)
+
+
+def _ratio_estimate(num: Counter, den: Counter) -> OracleEstimate:
     """Ratio of two independent group means with a delta-method SE."""
     k1, m1, v1 = _group_stats(num)
     k0, m0, v0 = _group_stats(den)
@@ -150,28 +146,17 @@ def _ratio_estimate(num: np.ndarray, den: np.ndarray) -> OracleEstimate:
     return OracleEstimate(value, math.sqrt(var))
 
 
-def _difference_estimate(a: np.ndarray, b: np.ndarray) -> OracleEstimate:
+def _difference_estimate(a: Counter, b: Counter) -> OracleEstimate:
     k1, m1, v1 = _group_stats(a)
     k0, m0, v0 = _group_stats(b)
     if k1 == 0 or k0 == 0:
         return OracleEstimate(None, None)
-    value = m1 - m0
     se = math.sqrt(v1 / k1 + v0 / k0) if v1 is not None and v0 is not None else None
-    return OracleEstimate(value, se)
+    return OracleEstimate(m1 - m0, se)
 
 
 #: OracleReport field names in presentation order.
-ORACLE_FIELDS = (
-    "ate",
-    "att",
-    "ate_m1",
-    "att_m1",
-    "pie",
-    "pde",
-    "crr",
-    "naive_rr",
-    "naive_rd",
-)
+ORACLE_FIELDS = ("ate", "att", "ate_m1", "att_m1", "pie", "pde", "crr", "naive_rr", "naive_rd")
 
 
 @dataclass(frozen=True)
@@ -195,17 +180,29 @@ class OracleReport:
         return getattr(self, name)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "estimands": {
-                name: {"value": self.field(name).value, "se": self.field(name).se}
-                for name in ORACLE_FIELDS
-            },
-        }
+        return {"n": self.n, "estimands": {name: asdict(self.field(name)) for name in ORACLE_FIELDS}}
+
+
+def _cell_counts(table: EncounterTable) -> np.ndarray:
+    """Rows per cell code ``d | m0 << 1 | m1 << 2 | y01 << 3 | y11 << 4 | m << 5 | y << 6``."""
+    block = 65_536  # rows packed per bincount, which copies its input to intp
+    columns = []
+    for name in ("d", "m0", "m1", "y01", "y11", "m", "y"):
+        column = np.asarray(getattr(table, name))
+        if column.dtype.kind not in "biu" or (column.size and not 0 <= column.min() <= column.max() <= 1):
+            raise ValueError(f"column {name} must hold only 0 and 1")
+        columns.append(column.astype(np.int8, copy=False))
+    counts = np.zeros(128, dtype=np.int64)
+    for lo in range(0, table.n, block):
+        code = columns[0][lo : lo + block].copy()
+        for bit, column in enumerate(columns[1:], 1):
+            code |= column[lo : lo + block] << bit
+        counts += np.bincount(code, minlength=128)
+    return counts
 
 
 def oracle_estimands(table: EncounterTable) -> OracleReport:
-    """Evaluate every estimand on the realized table by direct averaging.
+    """Evaluate every estimand on the realized table by averaging its rows.
 
     The realized force counterfactuals are y(1) = y11 * m1 and
     y(0) = y01 * m0 (no force without a stop). The crr field is the ratio of
@@ -213,26 +210,26 @@ def oracle_estimands(table: EncounterTable) -> OracleReport:
     count-level analog of the stopped-rate decomposition of E[Y(d)]: it
     matches the selection-adjusted estimator exactly when the table serves as
     its own external source. Ratio fields with empty groups or zero
-    denominators are reported as undefined.
+    denominators are reported as undefined. Each group is averaged through its
+    value -> row count map from the table's own columns, which must be 0/1.
     """
-    y1 = (table.y11 * table.m1).astype(np.int16)
-    y0 = (table.y01 * table.m0).astype(np.int16)
-    diff = y1 - y0
-
-    is_d1 = table.d == 1
-    is_d0 = ~is_d1
-    is_m1 = table.m == 1
-    y = table.y.astype(np.int16)
-
+    groups: defaultdict[str, Counter] = defaultdict(Counter)
+    counts = _cell_counts(table)
+    for code in np.flatnonzero(counts).tolist():
+        count = int(counts[code])
+        d, m0, m1, y01, y11, m, y = ((code >> bit) & 1 for bit in range(7))
+        diff = y11 * m1 - y01 * m0
+        for group, member, value in (
+            ("ate", 1, diff), ("att", d, diff), ("ate_m1", m, diff), ("att_m1", d & m, diff),
+            ("pie", 1, y11 * (m1 - m0)), ("pde", 1, (y11 - y01) * m0),
+            (f"y_d{d}", 1, y), (f"y_m1_d{d}", m, y),
+        ):
+            if member:
+                groups[group][value] += count
     return OracleReport(
-        ate=_mean_estimate(diff),
-        att=_mean_estimate(diff[is_d1]),
-        ate_m1=_mean_estimate(diff[is_m1]),
-        att_m1=_mean_estimate(diff[is_d1 & is_m1]),
-        pie=_mean_estimate((table.y11 * (table.m1 - table.m0)).astype(np.int16)),
-        pde=_mean_estimate(((table.y11 - table.y01) * table.m0).astype(np.int16)),
-        crr=_ratio_estimate(y[is_d1], y[is_d0]),
-        naive_rr=_ratio_estimate(y[is_d1 & is_m1], y[is_d0 & is_m1]),
-        naive_rd=_difference_estimate(y[is_d1 & is_m1], y[is_d0 & is_m1]),
+        **{name: _mean_estimate(groups[name]) for name in ORACLE_FIELDS[:6]},
+        crr=_ratio_estimate(groups["y_d1"], groups["y_d0"]),
+        naive_rr=_ratio_estimate(groups["y_m1_d1"], groups["y_m1_d0"]),
+        naive_rd=_difference_estimate(groups["y_m1_d1"], groups["y_m1_d0"]),
         n=table.n,
     )

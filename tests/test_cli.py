@@ -13,7 +13,7 @@ import pytest
 
 import crrkit
 import crrkit.verify
-from crrkit.cli import main
+from crrkit.cli import MAX_SIZE, main
 from crrkit.dataio import write_model_file
 from crrkit.model import Estimand, PopulationModel, weights_of
 from crrkit.verify import TOY_MODEL, sign_reversal_witnesses
@@ -593,6 +593,30 @@ class TestConfigAndErrors:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("size", [0, -4, 10**20])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--model-file", "{model}", "--out-dir", "{out}", "--n", "{size}"], "--n"),
+            (["simulate", "--model-file", "{model}", "--out-dir", "{out}", "--config", "{config}"],
+             "--n"),
+            (["verify", "--draws", "1", "--oracle-n", "{size}"], "--oracle-n"),
+            (["verify", "--draws", "1", "--config", "{config}"], "--oracle-n"),
+        ],
+        ids=["simulate", "simulate-config", "verify", "verify-config"],
+    )
+    def test_size_out_of_range_names_the_flag(self, capsys, tmp_path, toy_model_file, argv, flag,
+                                              size):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag[2:].replace("-", "_"): size}))
+        argv = [a.format(model=toy_model_file, out=tmp_path / "out", config=config, size=size)
+                for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert err == f"error: {flag} must be an integer from 1 to {MAX_SIZE}, got {size}\n"
+        assert out == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,5 +1,7 @@
 """Simulator tests: structural invariants, determinism, and oracle agreement."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +11,8 @@ from crrkit.estimate import bias_factor, naive_risk_ratio
 from crrkit.model import Estimand, PopulationModel, estimand_value, weights_of
 from crrkit.simulate import (
     ORACLE_FIELDS,
+    OracleEstimate,
+    OracleReport,
     external_from_table,
     oracle_estimands,
     sample_encounters,
@@ -79,6 +83,35 @@ class TestSampling:
             assert column.dtype == np.int8, col
             assert np.array_equal(column, values.astype(np.int8)), col
 
+    @pytest.mark.parametrize(
+        "model, n, seed, digest",
+        [
+            # TOY_MODEL has pi_ma = 0, so two stratum cuts tie
+            (TOY_MODEL, 1003, 11, "ecf785373971745aa5e5bd40186b4a814e5a040cb6650f1a3692e74db128db1a"),
+            (
+                PopulationModel(0.3, 0.0, 0.25, 0.35, 0.4, 0.15, 0.45),  # pi_al = 0
+                4099,
+                5,
+                "71be973e3fa79129520a6791612ab7296dbd0c8f5c929f2a0bce9de93e300393",
+            ),
+            (
+                PopulationModel(0.62, 0.3, 0.2, 0.1, 0.4, 0.05, 0.3),
+                65_537,
+                2026,
+                "8b9e9223ec3cabe71bbf705b6dfabbee6c667e1ebe8c2ba2f8bd161c5cee7549",
+            ),
+        ],
+    )
+    def test_columns_are_pinned(self, model, n, seed, digest):
+        # any change to a draw, its order, or a column's dtype or derivation changes the digest
+        table = sample_encounters(model, n, seed)
+        h = hashlib.sha256()
+        for col in ("d", "s", "m0", "m1", "y01", "y11", "m", "y"):
+            column = getattr(table, col)
+            h.update(f"{col}:{column.dtype.str}:".encode())
+            h.update(column.tobytes())
+        assert h.hexdigest() == digest
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             sample_encounters(TOY_MODEL, 0, seed=1)
@@ -114,6 +147,96 @@ class TestAdministrativeProjection:
         fraction = to_administrative(table).n / n
         se = math.sqrt(0.25 * 0.75 / n)
         assert fraction == pytest.approx(0.25, abs=3 * se)
+
+
+def _reference_mean(values):
+    k = len(values)
+    if k == 0:
+        return OracleEstimate(None, None)
+    se = float(np.std(values, ddof=1) / math.sqrt(k)) if k >= 2 else None
+    return OracleEstimate(float(np.mean(values)), se)
+
+
+def _reference_group(values):
+    k = len(values)
+    mean = float(np.mean(values)) if k else 0.0
+    return k, mean, float(np.var(values, ddof=1)) if k >= 2 else None
+
+
+def _reference_ratio(num, den):
+    k1, m1, v1 = _reference_group(num)
+    k0, m0, v0 = _reference_group(den)
+    if k1 == 0 or k0 == 0 or m0 == 0.0:
+        return OracleEstimate(None, None)
+    if v1 is None or v0 is None:
+        return OracleEstimate(m1 / m0, None)
+    var = v1 / (k1 * m0**2) + (m1**2 / m0**4) * (v0 / k0)
+    return OracleEstimate(m1 / m0, math.sqrt(var))
+
+
+def _reference_difference(a, b):
+    k1, m1, v1 = _reference_group(a)
+    k0, m0, v0 = _reference_group(b)
+    if k1 == 0 or k0 == 0:
+        return OracleEstimate(None, None)
+    se = math.sqrt(v1 / k1 + v0 / k0) if v1 is not None and v0 is not None else None
+    return OracleEstimate(m1 - m0, se)
+
+
+def reference_oracle(table):
+    """The oracle as plain np.mean / np.var over row arrays."""
+    diff = (table.y11 * table.m1).astype(np.int16) - (table.y01 * table.m0).astype(np.int16)
+    is_d1 = table.d == 1
+    is_m1 = table.m == 1
+    y = table.y.astype(np.int16)
+    return OracleReport(
+        ate=_reference_mean(diff),
+        att=_reference_mean(diff[is_d1]),
+        ate_m1=_reference_mean(diff[is_m1]),
+        att_m1=_reference_mean(diff[is_d1 & is_m1]),
+        pie=_reference_mean((table.y11 * (table.m1 - table.m0)).astype(np.int16)),
+        pde=_reference_mean(((table.y11 - table.y01) * table.m0).astype(np.int16)),
+        crr=_reference_ratio(y[is_d1], y[~is_d1]),
+        naive_rr=_reference_ratio(y[is_d1 & is_m1], y[~is_d1 & is_m1]),
+        naive_rd=_reference_difference(y[is_d1 & is_m1], y[~is_d1 & is_m1]),
+        n=table.n,
+    )
+
+
+EDGE_MODELS = [
+    make_model(p_d=0.0),
+    make_model(p_d=1.0),
+    make_model(pi=(0, 0, 0, 1.0)),  # pi_ne = 1: nobody is stopped
+    TOY_MODEL,  # pi_ma = 0
+    make_model(p_d=1.0, pi=(0.6, 0.4, 0, 0), mu_01=0.0, mu_11=1.0),
+    make_model(pi=(1.0, 0, 0, 0), mu_01=1.0, mu_11=1.0),
+]
+
+
+class TestOracleMatchesRowAverages:
+    @pytest.mark.parametrize("n", [1, 2, 5, 40, 10_000])
+    def test_values_equal_and_ses_within_4_ulp(self, n):
+        rng = np.random.default_rng(n)
+        models = EDGE_MODELS + list(sample_models(rng, 6)) + list(sample_models(rng, 6, interior=True))
+        for i, model in enumerate(models):
+            table = sample_encounters(model, n, seed=int(rng.integers(2**63)))
+            got, want = oracle_estimands(table), reference_oracle(table)
+            assert got.n == want.n
+            for field in ORACLE_FIELDS:
+                g, w = got.field(field), want.field(field)
+                label = f"{field}, model {i}, n={n}"
+                assert g.value == w.value, label
+                assert (g.se is None) == (w.se is None), label
+                if w.se is not None:
+                    assert abs(g.se - w.se) <= 4 * math.ulp(w.se), label
+
+    @pytest.mark.parametrize("col, bad", [("d", 2), ("m", -1), ("y11", 3), ("y", 64)])
+    def test_non_binary_column_raises(self, col, bad):
+        table = sample_encounters(TOY_MODEL, 100, seed=1)
+        column = getattr(table, col).copy()
+        column[17] = bad
+        with pytest.raises(ValueError, match=f"column {col} must"):
+            oracle_estimands(dataclasses.replace(table, **{col: column}))
 
 
 class TestOracle:
