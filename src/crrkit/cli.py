@@ -61,7 +61,7 @@ DEFAULTS = {
     "haldane": False,
 }
 
-#: Largest --n and --oracle-n: numpy's largest array length.
+#: Largest --n, --oracle-n and --draws: numpy's largest array length.
 MAX_SIZE = int(np.iinfo(np.intp).max)
 
 #: Config-file key and flag name for the one argparse dest that cannot use its own name.
@@ -448,7 +448,8 @@ def main(argv: list[str] | None = None) -> int:
         _apply_defaults(args)
         if args.seed < 0:  # numpy would reject it only after the inputs are read, naming no flag
             raise DataError(f"--seed must be a non-negative integer, got {args.seed}")
-        for dest in ("n", "oracle_n"):  # numpy's own errors would name no flag
+        # numpy's own errors would name no flag; a huge --draws would loop without end
+        for dest in ("n", "oracle_n", "draws"):
             size = getattr(args, dest, None)
             if size is not None and not 1 <= size <= MAX_SIZE:
                 flag = "--" + dest.replace("_", "-")

@@ -20,11 +20,14 @@ The schema config is a JSON object, type-checked by SchemaConfig.from_dict;
 the default matches the simulator's administrative export (columns d, y, x),
 so exported fixtures round-trip with no config at all.
 
-The three loaders share one CSV reader, ``_read_rows``, which checks the
-header and row widths and counts rows loaded, dropped and unparseable; each
-loader supplies the parse of one row. Loaders are single-pass and
-deterministic: identical bytes produce identical datasets, and the returned
-objects are immutable and freely shareable.
+The three loaders share one header check, ``_header``. The census and
+survey loaders parse row by row through ``_read_rows``, which checks row
+widths and counts rows loaded, dropped and unparseable. The administrative
+loader instead counts the distinct (race, force, stratum) tuples of the file
+and parses each tuple once: one pass on success, with memory that grows with
+the distinct tuples, not the rows; a failure re-scans the file for its line.
+Loaders are deterministic: identical bytes produce identical datasets, and
+the returned objects are immutable and freely shareable.
 """
 
 from __future__ import annotations
@@ -32,14 +35,17 @@ from __future__ import annotations
 import csv
 import json
 import re
-from array import array
+from collections import Counter
 from dataclasses import dataclass, field, fields
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    DataError,
     EmptySubsetError,
     MissingColumnError,
     NegativeCountError,
@@ -168,11 +174,23 @@ class LoadReport:
         )
 
 
+def _header(reader, path: str | Path, required: Sequence[str]) -> tuple[dict[str, int], int]:
+    """Position of every header name, and the header's width; the file must name ``required``."""
+    header = next(reader, None)
+    if header is None:
+        raise MissingColumnError(f"{path}: file is empty, expected a header row")
+    indices = {name.strip(): i for i, name in enumerate(header)}
+    missing = [name for name in required if name not in indices]
+    if missing:
+        raise MissingColumnError(f"{path}: missing columns {missing}; header was {header}")
+    return indices, len(header)
+
+
 def _read_rows(
     path: str | Path,
     required: Sequence[str],
     parse: Callable[[list[str], dict[str, int], int], tuple | None],
-    values: list | array,
+    values: list,
     skip_unparseable: bool = False,
 ) -> LoadReport:
     """Parse each data row of a CSV file with ``parse(row, indices, line)``.
@@ -191,14 +209,7 @@ def _read_rows(
     with open(path, newline="", encoding="utf-8-sig") as handle:  # tolerate a byte-order mark
         reader = csv.reader(handle)
         try:
-            header = next(reader, None)
-            if header is None:
-                raise MissingColumnError(f"{path}: file is empty, expected a header row")
-            indices = {name.strip(): i for i, name in enumerate(header)}
-            missing = [name for name in required if name not in indices]
-            if missing:
-                raise MissingColumnError(f"{path}: missing columns {missing}; header was {header}")
-            width = len(header)
+            indices, width = _header(reader, path, required)
             loaded = dropped = unparseable = 0
             for row in reader:
                 try:
@@ -223,17 +234,15 @@ def _read_rows(
     return LoadReport(str(path), physical, loaded, dropped, unparseable)
 
 
-def _stratum_key(
-    row: Sequence[str], indices: dict[str, int], columns: Sequence[str], line: int
-) -> str:
-    """Stratum key of a row: its stratum values joined by STRATUM_SEPARATOR.
+def _stratum_key(values: Sequence[str], line: int) -> str:
+    """Stratum key of a row's stratum column values: joined by STRATUM_SEPARATOR.
 
     With two or more columns a value containing the separator would make
     distinct strata share a key, so it is unparseable.
     """
-    if len(columns) < 2:
-        return row[indices[columns[0]]].strip() if columns else POOLED_KEY
-    values = [row[indices[c]].strip() for c in columns]
+    if len(values) < 2:
+        return values[0].strip() if values else POOLED_KEY
+    values = [v.strip() for v in values]
     if any(STRATUM_SEPARATOR in v for v in values):
         raise UnparseableRowError(
             f"stratum value contains {STRATUM_SEPARATOR!r}, which joins the stratum columns",
@@ -261,26 +270,71 @@ def load_administrative(
 
     Rows with a race string outside the race map are dropped and counted.
     Malformed rows raise UnparseableRowError with the physical line number;
-    with ``skip_unparseable`` they are counted and skipped instead. Each
-    record is packed as it is read into one int32 cell, so the load keeps
-    one string per stratum, not one per row.
+    with ``skip_unparseable`` they are counted and skipped instead.
+
+    One pass over the file counts each distinct row, projected to its race,
+    force and stratum values (a row of the wrong width to its width alone),
+    and each distinct row is then parsed once. Memory grows with the
+    distinct (race, force, stratum) tuples, not with the rows, and the
+    records come out grouped by distinct row in the order each first
+    occurs. The first failing distinct row is the file's first failing row;
+    only then is the file read again, up to that row, for its line number.
     """
-    race, force, strata, race_map = (
-        config.race_column, config.force_column, config.stratum_columns, config.race_map
-    )
+    race_map = config.race_map
+    required = [config.race_column, config.force_column, *config.stratum_columns]
+
+    def row_key(row: list[str]) -> tuple[str, ...] | int:
+        return project(row) if len(row) == width else len(row)
+
+    def first_line(key: tuple[str, ...] | int) -> int:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            next(reader)  # the header, read once already
+            for row in reader:
+                if row_key(row) == key:
+                    return reader.line_num
+        raise DataError(f"{path}: file changed while it was read")
+
+    counts: Counter = Counter()  # insertion order is first-occurrence order
+    with open(path, newline="", encoding="utf-8-sig") as handle:  # tolerate a byte-order mark
+        reader = csv.reader(handle)
+        try:
+            indices, width = _header(reader, path, required)
+            project = itemgetter(*(indices[column] for column in required))
+            counts.update(map(row_key, reader))  # rows counted before an error stay counted
+            csv_error = None
+        except csv.Error as exc:  # malformed CSV, e.g. a field over the csv module's size limit
+            csv_error = UnparseableRowError(str(exc), reader.line_num)
+            csv_error.__cause__ = exc
+
     codes: dict[str, int] = {}
-
-    def parse(row: list[str], indices: dict[str, int], line: int) -> tuple | None:
-        d = race_map.get(row[indices[race]].strip())
-        if d is None:
-            return None
-        y = _parse_binary(row[indices[force]], "force", line)
-        key = _stratum_key(row, indices, strata, line)
-        return (4 * codes.setdefault(key, len(codes)) + 2 * d + y,)
-
-    cells = array("i")
-    report = _read_rows(path, [race, force, *strata], parse, cells, skip_unparseable)
-    return AdministrativeDataset(np.frombuffer(cells, dtype=np.intc), tuple(codes)), report
+    cells: list[int] = []
+    repeats: list[int] = []
+    dropped = unparseable = 0
+    for key, count in counts.items():
+        try:  # line 0 stands in until a failure is located
+            if isinstance(key, int):
+                raise UnparseableRowError(f"expected {width} fields, got {key}", 0)
+            d = race_map.get(key[0].strip())
+            if d is None:
+                dropped += count
+                continue
+            y = _parse_binary(key[1], "force", 0)
+            stratum = _stratum_key(key[2:], 0)
+        except UnparseableRowError as exc:
+            if not skip_unparseable:
+                raise UnparseableRowError(exc.reason, first_line(key)) from None
+            unparseable += count
+            continue
+        cells.append(4 * codes.setdefault(stratum, len(codes)) + 2 * d + y)
+        repeats.append(count)
+    if csv_error is not None:  # every row before the malformed text loaded, dropped or skipped
+        raise csv_error
+    cell = np.repeat(np.array(cells, dtype=np.intc), repeats)
+    physical = cell.size + dropped + unparseable
+    return AdministrativeDataset(cell, tuple(codes)), LoadReport(
+        str(path), physical, cell.size, dropped, unparseable
+    )
 
 
 CENSUS_COLUMNS = ("stratum", "count_d1", "count_d0")
@@ -371,7 +425,7 @@ def load_survey(
             _parse_item(row, indices.get(column), name, line) for name, column in item_columns
         ]
         contacts = _parse_count(row, indices.get(schema.contacts_column), line)
-        key = _stratum_key(row, indices, schema.stratum_columns, line)
+        key = _stratum_key([row[indices[column]] for column in schema.stratum_columns], line)
         return d, public, vehicle, other, contacts, metro, key
 
     required = [schema.race_column, *schema.stratum_columns]
@@ -445,20 +499,12 @@ def write_encounters(table: EncounterTable, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(ENCOUNTER_COLUMNS)
-        for i in range(table.n):
-            writer.writerow(
-                (
-                    int(table.d[i]),
-                    STRATA[table.s[i]],
-                    int(table.m0[i]),
-                    int(table.m1[i]),
-                    int(table.y01[i]),
-                    int(table.y11[i]),
-                    int(table.m[i]),
-                    int(table.y[i]),
-                    table.x,
-                )
-            )
+        d, m0, m1, y01, y11, m, y = (
+            column.astype(np.int64).tolist()
+            for column in (table.d, table.m0, table.m1, table.y01, table.y11, table.m, table.y)
+        )
+        s = np.array(STRATA, dtype=object)[table.s].tolist()  # each stratum's name
+        writer.writerows(zip(d, s, m0, m1, y01, y11, m, y, repeat(table.x, table.n)))
 
 
 def write_administrative(dataset: AdministrativeDataset, path: str | Path) -> None:

@@ -53,10 +53,11 @@ class MissingColumnError(DataError):
 
 
 class UnparseableRowError(DataError):
-    """A data row could not be parsed; carries the 1-based physical line number."""
+    """A data row could not be parsed; carries the reason and the 1-based physical line number."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
+        self.reason = message
         self.line = line
 
 

@@ -509,7 +509,7 @@ class TestVerify:
     def test_draws_below_one_is_exit_2(self, capsys, draws):
         code, out, err = run(capsys, ["verify", "--draws", draws, "--oracle-n", "5000"])
         assert code == 2
-        assert "draws must be at least 1" in err
+        assert err == f"error: --draws must be an integer from 1 to {MAX_SIZE}, got {draws}\n"
         assert "Traceback" not in err
         assert out == ""
 
@@ -603,8 +603,10 @@ class TestConfigAndErrors:
              "--n"),
             (["verify", "--draws", "1", "--oracle-n", "{size}"], "--oracle-n"),
             (["verify", "--draws", "1", "--config", "{config}"], "--oracle-n"),
+            (["verify", "--oracle-n", "5", "--draws", "{size}"], "--draws"),
+            (["verify", "--oracle-n", "5", "--config", "{config}"], "--draws"),
         ],
-        ids=["simulate", "simulate-config", "verify", "verify-config"],
+        ids=["simulate", "simulate-config", "verify", "verify-config", "draws", "draws-config"],
     )
     def test_size_out_of_range_names_the_flag(self, capsys, tmp_path, toy_model_file, argv, flag,
                                               size):

@@ -1,10 +1,14 @@
 """Loader tests: schema mapping, drop accounting, survey modes, round trips."""
 
 import csv
+import io
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from crrkit.dataio import (
     DEFAULT_SCHEMA,
@@ -26,7 +30,8 @@ from crrkit.errors import (
     NegativeCountError,
     UnparseableRowError,
 )
-from crrkit.estimate import naive_risk_ratio
+from crrkit.estimate import AdministrativeDataset, naive_risk_ratio
+from crrkit.model import STRATA, PopulationModel
 from crrkit.simulate import sample_encounters, to_administrative
 from crrkit.verify import TOY_MODEL
 
@@ -203,6 +208,231 @@ class TestAdministrativeLoader:
             with pytest.raises(ValueError, match="schema.survey.race_map"):
                 SchemaConfig.from_dict({"survey": {"race_map": race_map}})
         assert SurveySchema().race_map is None  # inherits the admin map
+
+
+def reference_load(path, config, skip_unparseable=False):
+    """The administrative loader's rules applied row by row, in file order.
+
+    Returns per-(key, d, y) record counts, the stratum keys in first-loaded
+    order and the LoadReport fields, or raises what the loader must raise.
+    """
+    columns = [config.race_column, config.force_column, *config.stratum_columns]
+    counts, keys = Counter(), {}
+    loaded = dropped = unparseable = 0
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise MissingColumnError("empty")
+            indices = {name.strip(): i for i, name in enumerate(header)}
+            if any(column not in indices for column in columns):
+                raise MissingColumnError("missing")
+            for row in reader:
+                line = reader.line_num
+                try:
+                    if len(row) != len(header):
+                        raise UnparseableRowError(
+                            f"expected {len(header)} fields, got {len(row)}", line
+                        )
+                    race, force, *values = (row[indices[c]].strip() for c in columns)
+                    d = config.race_map.get(race)
+                    if d is None:
+                        dropped += 1
+                        continue
+                    if force not in ("0", "1"):
+                        raise UnparseableRowError(f"force must be 0 or 1, got {force!r}", line)
+                    if len(values) > 1 and any("|" in v for v in values):
+                        raise UnparseableRowError(
+                            "stratum value contains '|', which joins the stratum columns", line
+                        )
+                except UnparseableRowError:
+                    if not skip_unparseable:
+                        raise
+                    unparseable += 1
+                    continue
+                key = "|".join(values) if values else "all"
+                keys.setdefault(key, len(keys))
+                counts[key, d, int(force)] += 1
+                loaded += 1
+        except csv.Error as exc:
+            raise UnparseableRowError(str(exc), reader.line_num) from exc
+    return counts, tuple(keys), (loaded + dropped + unparseable, loaded, dropped, unparseable)
+
+
+def loaded_counts(data):
+    return Counter(zip(data.x.tolist(), data.d.tolist(), data.y.tolist()))
+
+
+#: Race, force and stratum tokens, valid and not, for the differential loader test.
+FIELDS = st.sampled_from(["B", "W", "O", " B", "0", "1", " 1", "2", "", "a", "a|b", "x\ny"])
+
+
+class TestAdministrativeCountingPass:
+    """The loader counts distinct rows; every outcome matches a row-by-row parse."""
+
+    def test_repeated_bad_row_after_a_different_one_names_the_earliest_line(self, tmp_path):
+        path = write(
+            tmp_path,
+            "admin.csv",
+            "race,force,precinct\n"
+            "BLACK,1,7\n"
+            "BLACK,2,7\n"  # line 3: repeated below
+            "WHITE,0,7\n"
+            "WHITE,maybe,9\n"  # line 5: the first row of its kind, after line 3's
+            "BLACK,2,7\n"
+            "BLACK,2,7\n",
+        )
+        with pytest.raises(UnparseableRowError) as excinfo:
+            load_administrative(path, CITY_SCHEMA)
+        assert (excinfo.value.line, excinfo.value.reason) == (3, "force must be 0 or 1, got '2'")
+        path = write(
+            tmp_path,
+            "admin.csv",
+            "race,force,precinct\n"
+            "WHITE,maybe,9\n"  # line 2: the earliest bad row, once
+            "BLACK,2,7\n"
+            "BLACK,2,7\n",
+        )
+        with pytest.raises(UnparseableRowError, match="line 2: force must be 0 or 1, got 'maybe'"):
+            load_administrative(path, CITY_SCHEMA)
+
+    @pytest.mark.parametrize(
+        "row, line, got",
+        [("BLACK,1", 3, 2), ("BLACK,1,7,extra", 3, 4), ("", 3, 0), ("WHITE,0,9,,", 4, 5)],
+    )
+    def test_short_and_long_rows(self, tmp_path, row, line, got):
+        body = "BLACK,1,7\n" + ("WHITE,0,7\n" if line == 4 else "")
+        path = write(tmp_path, "admin.csv", f"race,force,precinct\n{body}{row}\n{row}\nBLACK,1,7\n")
+        with pytest.raises(UnparseableRowError) as excinfo:
+            load_administrative(path, CITY_SCHEMA)
+        # csv reads an empty line as a row of no fields
+        assert (excinfo.value.line, excinfo.value.reason) == (line, f"expected 3 fields, got {got}")
+        data, report = load_administrative(path, CITY_SCHEMA, skip_unparseable=True)
+        assert (report.n_unparseable, report.n_loaded) == (2, data.n) == (2, line - 1)
+
+    def test_bad_row_before_text_the_csv_module_rejects_wins(self, tmp_path):
+        too_long = "a" * (csv.field_size_limit() + 1)
+        path = write(
+            tmp_path, "admin.csv", f"d,y,x\n1,1,a\n1,2,a\n0,0,a\n1,0,{too_long}\n1,2,a\n"
+        )
+        with pytest.raises(UnparseableRowError, match="line 3: force must be 0 or 1") as excinfo:
+            load_administrative(path)
+        assert excinfo.value.__cause__ is None
+        # skipped rows never stop the load; the csv module's error does
+        with pytest.raises(UnparseableRowError, match="line 5: field larger") as excinfo:
+            load_administrative(path, skip_unparseable=True)
+        assert isinstance(excinfo.value.__cause__, csv.Error)
+
+    def test_quoted_multi_line_stratum_value(self, tmp_path):
+        path = write(
+            tmp_path,
+            "admin.csv",
+            'race,force,precinct\nBLACK,1,"7\nnorth"\nWHITE,0,"7\nnorth"\nBLACK,2,"9\n\nsouth"\n',
+        )
+        with pytest.raises(UnparseableRowError) as excinfo:
+            load_administrative(path, CITY_SCHEMA)
+        assert excinfo.value.line == 8  # the row's last physical line, as csv counts it
+        data, report = load_administrative(path, CITY_SCHEMA, skip_unparseable=True)
+        assert data.keys == ("7\nnorth",)
+        assert (report.n_loaded, report.n_unparseable) == (2, 1)
+
+    def test_duplicates_scale_dropped_and_unparseable_counts(self, tmp_path):
+        path = write(
+            tmp_path,
+            "admin.csv",
+            "race,force,precinct\n"
+            + "OTHER,1,7\n" * 3
+            + "BLACK,maybe,7\n" * 2
+            + "BLACK,1,7\n" * 4
+            + "OTHER,maybe,8\n"  # an unmapped race is dropped before its force is read
+            + "WHITE,0\n" * 5,
+        )
+        data, report = load_administrative(path, CITY_SCHEMA, skip_unparseable=True)
+        assert (report.n_physical, report.n_loaded, report.n_dropped, report.n_unparseable) == (
+            15, 4, 4, 7
+        )
+        assert data._table["7"] == (0, 0, 0, 4)
+
+    def test_keys_in_first_loaded_order(self, tmp_path):
+        path = write(
+            tmp_path,
+            "admin.csv",
+            "race,force,precinct\n"
+            "OTHER,1,z\n"  # dropped: z gets no key
+            "BLACK,maybe,q\n"  # skipped: q gets no key
+            "BLACK,1,9\n"
+            "WHITE,0,7\n"
+            "BLACK,1,9\n"
+            "WHITE,1, 9\n"  # stripped, so stratum 9
+            "BLACK,0,5\n",
+        )
+        data, _ = load_administrative(path, CITY_SCHEMA, skip_unparseable=True)
+        assert data.keys == ("9", "7", "5")
+        assert data._table == {
+            "9": (0, 1, 0, 2), "7": (1, 0, 0, 0), "5": (0, 0, 1, 0), None: (1, 1, 1, 2)
+        }
+        # records come out grouped by distinct row, in first-occurrence order
+        assert data.cell.tolist() == [3, 3, 4, 1, 10]
+
+    @settings(
+        max_examples=300,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rows=st.lists(
+            st.sampled_from([5] * 8 + [4, 6]).flatmap(  # the header has 5 fields
+                lambda width: st.lists(FIELDS, min_size=width, max_size=width)
+            ),
+            max_size=25,
+        ),
+        strata=st.sampled_from([(), ("s",), ("s", "t")]),
+        long_field=st.one_of(st.none(), st.integers(0, 25)),
+        bom=st.booleans(),
+        skip=st.booleans(),
+    )
+    @example(rows=[["B", "2", "a", "b", "i"]] * 2 + [["W", "0", "a", "b", "i"]], strata=("s",),
+             long_field=2, bom=False, skip=False)
+    def test_matches_a_row_by_row_parse(self, tmp_path, rows, strata, long_field, bom, skip):
+        config = SchemaConfig(
+            race_column="race",
+            race_map={"B": 1, "W": 0},
+            force_column="force",
+            stratum_columns=strata,
+        )
+        handle = io.StringIO()
+        writer = csv.writer(handle)
+        writer.writerow(("race", "force", "s", "t", "id"))
+        writer.writerows(rows)
+        if long_field is not None:  # text the csv module rejects, somewhere among the rows
+            lines = handle.getvalue().splitlines(keepends=True)
+            lines.insert(min(long_field, len(lines)), "B,1," + "z" * 100 + ",t,i\n")
+            handle = io.StringIO("".join(lines))
+        path = write(tmp_path, "admin.csv", ("\ufeff" if bom else "") + handle.getvalue())
+        limit = csv.field_size_limit(50)
+        try:
+            try:
+                expected = reference_load(path, config, skip)
+            except UnparseableRowError as exc:
+                with pytest.raises(UnparseableRowError) as excinfo:
+                    load_administrative(path, config, skip_unparseable=skip)
+                assert (str(excinfo.value), excinfo.value.line) == (str(exc), exc.line)
+                return
+            except MissingColumnError:
+                with pytest.raises(MissingColumnError):
+                    load_administrative(path, config, skip_unparseable=skip)
+                return
+            data, report = load_administrative(path, config, skip_unparseable=skip)
+        finally:
+            csv.field_size_limit(limit)
+        counts, keys, report_fields = expected
+        assert loaded_counts(data) == counts
+        assert data.keys == keys
+        assert (report.n_physical, report.n_loaded, report.n_dropped, report.n_unparseable) == (
+            report_fields
+        )
 
 
 class TestSchemaFromDict:
@@ -461,15 +691,20 @@ class TestSurveyLoader:
 
 class TestRoundTrips:
     def test_administrative_round_trip_preserves_estimates(self, tmp_path):
-        table = sample_encounters(TOY_MODEL, 30_000, seed=103)
-        admin = to_administrative(table)
+        # the loader groups records by distinct row, so compare counts, not record order
+        admin = AdministrativeDataset.concat(
+            [to_administrative(sample_encounters(TOY_MODEL, 30_000, seed=103 + i, x=x))
+             for i, x in enumerate(("b", "a"))]
+        )
         path = tmp_path / "admin.csv"
         write_administrative(admin, path)
         loaded, report = load_administrative(path)  # default schema: d,y,x
         assert report.n_loaded == admin.n
-        assert np.array_equal(loaded.d, admin.d)
-        assert np.array_equal(loaded.y, admin.y)
+        assert loaded.keys == admin.keys == ("b", "a")
+        assert loaded._table == admin._table
         assert naive_risk_ratio(loaded) == naive_risk_ratio(admin)
+        for key in admin.keys:
+            assert naive_risk_ratio(loaded, key) == naive_risk_ratio(admin, key)
 
     def test_encounter_export_schema(self, tmp_path):
         table = sample_encounters(TOY_MODEL, 50, seed=2)
@@ -481,6 +716,25 @@ class TestRoundTrips:
         first = lines[1].split(",")
         assert first[1] in ("al", "mi", "ma", "ne")
         assert first[8] == "all"
+
+    def test_encounter_export_matches_a_row_by_row_writer(self, tmp_path):
+        model = PopulationModel(
+            p_d=0.4, pi_al=0.3, pi_mi=0.2, pi_ma=0.1, pi_ne=0.4, mu_01=0.3, mu_11=0.6
+        )
+        table = sample_encounters(model, 2_000, seed=11, x="cell, 7")  # a label csv must quote
+        assert set(table.s.tolist()) == {0, 1, 2, 3}
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(("d", "s", "m0", "m1", "y01", "y11", "m", "y", "x"))
+        for i in range(table.n):
+            writer.writerow(
+                [int(table.d[i]), STRATA[table.s[i]]]
+                + [int(getattr(table, c)[i]) for c in ("m0", "m1", "y01", "y11", "m", "y")]
+                + [table.x]
+            )
+        path = tmp_path / "enc.csv"
+        write_encounters(table, path)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_model_file_round_trip(self, tmp_path):
         path = tmp_path / "model.json"
