@@ -9,82 +9,50 @@ selection-adjusted causal risk ratio with bootstrap confidence intervals,
 stratification, and a local/citywide mixture sensitivity analysis.
 """
 
-from . import errors
-from .estimate import (
-    AdministrativeDataset,
-    EstimateWithCI,
-    ExternalRaceDistribution,
-    StratumResult,
-    SurveyRespondents,
-    bias_factor,
-    bootstrap,
-    crr_identified,
-    naive_risk_difference,
-    naive_risk_ratio,
-    sensitivity_mixture,
-    stratified_estimates,
-)
-from .model import (
-    Estimand,
-    EstimandValue,
-    PopulationModel,
-    StratumWeights,
-    ThetaVector,
-    bias_factor_true,
-    crr_true,
-    estimand_value,
-    identify_ey,
-    naive_rr_true,
-    pie_pde,
-    theta_of,
-    weights_of,
-)
-from .simulate import (
-    EncounterTable,
-    OracleEstimate,
-    OracleReport,
-    external_from_table,
-    external_from_tables,
-    oracle_estimands,
-    sample_encounters,
-    to_administrative,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdministrativeDataset",
-    "EncounterTable",
-    "Estimand",
-    "EstimandValue",
-    "EstimateWithCI",
-    "ExternalRaceDistribution",
-    "OracleEstimate",
-    "OracleReport",
-    "PopulationModel",
-    "StratumResult",
-    "StratumWeights",
-    "SurveyRespondents",
-    "ThetaVector",
-    "bias_factor",
-    "bias_factor_true",
-    "bootstrap",
-    "crr_identified",
-    "crr_true",
-    "errors",
-    "estimand_value",
-    "external_from_table",
-    "external_from_tables",
-    "identify_ey",
-    "naive_risk_difference",
-    "naive_risk_ratio",
-    "naive_rr_true",
-    "oracle_estimands",
-    "pie_pde",
-    "sample_encounters",
-    "sensitivity_mixture",
-    "stratified_estimates",
-    "theta_of",
-    "to_administrative",
-    "weights_of",
-]
+#: Each public name and the submodule that defines it. A submodule is imported
+#: on the first access to one of its names, so ``import crrkit`` stays cheap
+#: and a command loads only what it runs.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("errors", "errors"),
+        (
+            "estimate",
+            "AdministrativeDataset EstimateWithCI ExternalRaceDistribution StratumResult "
+            "SurveyRespondents bias_factor bootstrap crr_identified naive_risk_difference "
+            "naive_risk_ratio sensitivity_mixture stratified_estimates",
+        ),
+        (
+            "model",
+            "Estimand EstimandValue PopulationModel StratumWeights ThetaVector "
+            "bias_factor_true crr_true estimand_value identify_ey naive_rr_true pie_pde "
+            "theta_of weights_of",
+        ),
+        (
+            "simulate",
+            "EncounterTable OracleEstimate OracleReport external_from_table "
+            "external_from_tables oracle_estimands sample_encounters to_administrative",
+        ),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Resolve a public name on first access (PEP 562)."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+    value = module if name == _EXPORTS[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

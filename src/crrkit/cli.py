@@ -41,10 +41,9 @@ from .estimate import (
     sensitivity_mixture,
 )
 from .estimate import stratified_estimates  # noqa: F401  benchmarks/tracing.py patches this name
-from .model import Estimand, crr_true, estimand_value, pie_pde
 from .report import Report, ReportRow, render
-from .simulate import ORACLE_FIELDS, oracle_estimands, sample_encounters, to_administrative
-from .verify import run_verification
+
+# model, simulate and verify are imported by the subcommands that run them
 
 #: Default RNG seed for all commands, echoed in every report header.
 DEFAULT_SEED = 1729
@@ -204,6 +203,8 @@ def _note(text: str) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulate import ORACLE_FIELDS, oracle_estimands, sample_encounters, to_administrative
+
     _require(args, "model_file", "out_dir")
     model = dataio.read_model_file(args.model_file)
     table = sample_encounters(model, args.n, args.seed)
@@ -239,6 +240,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimands(args: argparse.Namespace) -> int:
+    from .model import Estimand, crr_true, estimand_value, pie_pde
+
     _require(args, "model_file")
     model = dataio.read_model_file(args.model_file)
 
@@ -418,6 +421,13 @@ def cmd_sensitivity(args: argparse.Namespace, config: dict) -> int:
     _add_rows(rep, data, requests, args)
     print(render(rep, args.format), end="")
     return 0
+
+
+def run_verification(**kwargs) -> list:
+    """``verify.run_verification``, with the verify module imported on the first call."""
+    from . import verify
+
+    return verify.run_verification(**kwargs)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -26,6 +26,9 @@ widths and counts rows loaded, dropped and unparseable. The administrative
 loader instead counts the distinct (race, force, stratum) tuples of the file
 and parses each tuple once: one pass on success, with memory that grows with
 the distinct tuples, not the rows; a failure re-scans the file for its line.
+When the loader reads every column of a regular file, the pass counts
+distinct text lines instead, unless a line holds a quote or is rejected by
+the csv module.
 Loaders are deterministic: identical bytes produce identical datasets, and
 the returned objects are immutable and freely shareable.
 """
@@ -37,10 +40,10 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from itertools import repeat
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,8 +59,10 @@ from .estimate import (
     ExternalRaceDistribution,
     SurveyRespondents,
 )
-from .model import STRATA, PopulationModel
-from .simulate import EncounterTable, OracleReport
+
+if TYPE_CHECKING:  # model and simulate load only when a function below needs them
+    from .model import PopulationModel
+    from .simulate import EncounterTable, OracleReport
 
 #: Tokens treated as a missing value in survey item columns.
 MISSING_TOKENS = ("", "NA", "na", "N/A")
@@ -260,6 +265,30 @@ def _parse_binary(token: str, what: str, line: int) -> int:
     raise UnparseableRowError(f"{what} must be 0 or 1, got {token!r}", line)
 
 
+def _count_lines(handle, key: Callable[[list[str]], Hashable], counts: Counter) -> bool:
+    """Add each remaining line's ``key`` to ``counts``, splitting each distinct line once.
+
+    False, with nothing counted, unless every line is one csv record that the
+    csv module accepts; the caller's csv record pass then decides the outcome.
+    """
+    try:
+        first = handle.readline()  # "" when no line follows the header
+        if '"' in first:  # every line quoted, as R's write.csv writes: spare the count
+            return False
+        lines = Counter(chain((first,), handle) if first else ())  # in C, first-occurrence order
+    except UnicodeDecodeError:  # the record pass may meet a csv error first
+        return False
+    if any('"' in line for line in lines):  # a quoted field may span lines
+        return False
+    try:
+        for row, count in zip(csv.reader(lines), lines.values()):
+            counts[key(row)] += count
+    except csv.Error:
+        counts.clear()
+        return False
+    return True
+
+
 def load_administrative(
     path: str | Path,
     config: SchemaConfig = DEFAULT_SCHEMA,
@@ -272,13 +301,17 @@ def load_administrative(
     Malformed rows raise UnparseableRowError with the physical line number;
     with ``skip_unparseable`` they are counted and skipped instead.
 
-    One pass over the file counts each distinct row, projected to its race,
-    force and stratum values (a row of the wrong width to its width alone),
-    and each distinct row is then parsed once. Memory grows with the
-    distinct (race, force, stratum) tuples, not with the rows, and the
-    records come out grouped by distinct row in the order each first
-    occurs. The first failing distinct row is the file's first failing row;
-    only then is the file read again, up to that row, for its line number.
+    One pass counts the file's rows by key: a row's race, force and stratum
+    values, or its width alone when that is wrong. When the loader reads
+    every header column, the pass counts the distinct text lines in C and
+    splits each with the csv module once; it reads one csv record at a time
+    when the file has another column (its lines would all differ) or is a
+    pipe, a data line holds a quote (a quoted field may span lines), or the
+    csv module rejects a line. Each distinct key is then parsed once.
+    Memory grows with the distinct lines or keys, not with the rows, and the
+    records come out grouped by distinct row in the order each first occurs.
+    The first failing distinct row is the file's first failing row; only
+    then is the file read again, up to that row, for its line number.
     """
     race_map = config.race_map
     required = [config.race_column, config.force_column, *config.stratum_columns]
@@ -295,17 +328,34 @@ def load_administrative(
                     return reader.line_num
         raise DataError(f"{path}: file changed while it was read")
 
+    def count_records(reader) -> UnparseableRowError | None:
+        """Count each remaining record's key; the csv module's error, if it stopped the count."""
+        try:
+            counts.update(map(row_key, reader))  # rows counted before an error stay counted
+        except csv.Error as exc:  # malformed CSV, e.g. a field over the csv module's size limit
+            error = UnparseableRowError(str(exc), reader.line_num)
+            error.__cause__ = exc
+            return error
+        return None
+
     counts: Counter = Counter()  # insertion order is first-occurrence order
     with open(path, newline="", encoding="utf-8-sig") as handle:  # tolerate a byte-order mark
         reader = csv.reader(handle)
         try:
             indices, width = _header(reader, path, required)
-            project = itemgetter(*(indices[column] for column in required))
-            counts.update(map(row_key, reader))  # rows counted before an error stay counted
-            csv_error = None
-        except csv.Error as exc:  # malformed CSV, e.g. a field over the csv module's size limit
-            csv_error = UnparseableRowError(str(exc), reader.line_num)
-            csv_error.__cause__ = exc
+        except csv.Error as exc:
+            raise UnparseableRowError(str(exc), reader.line_num) from exc
+        positions = [indices[column] for column in required]
+        project = itemgetter(*positions)
+        csv_error = None
+        # an unread column would make every line distinct, and a pipe cannot be read twice
+        if set(positions) != set(range(width)) or not handle.seekable():
+            csv_error = count_records(reader)
+        elif not _count_lines(handle, row_key, counts):  # the record pass, from the top
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
+            csv_error = count_records(reader)
 
     codes: dict[str, int] = {}
     cells: list[int] = []
@@ -484,6 +534,8 @@ def derive_survey_distribution(
 
 
 def read_model_file(path: str | Path) -> PopulationModel:
+    from .model import PopulationModel
+
     return PopulationModel.loads(Path(path).read_text(encoding="utf-8"))
 
 
@@ -494,25 +546,48 @@ def write_model_file(model: PopulationModel, path: str | Path) -> None:
 ENCOUNTER_COLUMNS = ("d", "s", "m0", "m1", "y01", "y11", "m", "y", "x")
 
 
+class _Echo:
+    """A file whose ``write`` returns the text: ``csv.writer(_Echo()).writerow`` formats a line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _write_csv(
+    path: str | Path, header: Sequence, code: np.ndarray, row_of: Callable[[int], Sequence]
+) -> None:
+    """Write ``header``, then the row ``row_of(c)`` for each ``c`` in ``code``.
+
+    Each distinct code's line is formatted by the csv module once.
+    """
+    format_row = csv.writer(_Echo()).writerow
+    distinct, inverse = np.unique(code, return_inverse=True)
+    lines = np.array([format_row(row_of(c)) for c in distinct.tolist()], dtype=object)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(format_row(header))
+        handle.write("".join(lines[inverse].tolist()))
+
+
 def write_encounters(table: EncounterTable, path: str | Path) -> None:
     """Write the full potential-outcome table as CSV (debugging aid)."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(ENCOUNTER_COLUMNS)
-        d, m0, m1, y01, y11, m, y = (
-            column.astype(np.int64).tolist()
-            for column in (table.d, table.m0, table.m1, table.y01, table.y11, table.m, table.y)
-        )
-        s = np.array(STRATA, dtype=object)[table.s].tolist()  # each stratum's name
-        writer.writerows(zip(d, s, m0, m1, y01, y11, m, y, repeat(table.x, table.n)))
+    from .model import STRATA
+
+    binary = (table.d, table.m0, table.m1, table.y01, table.y11, table.m, table.y)
+    code = table.s.astype(np.int64)  # row code: s, then one bit per 0/1 column
+    for column in binary:
+        code = 2 * code + column
+
+    def row_of(c: int) -> tuple:
+        d, m0, m1, y01, y11, m, y = (c >> shift & 1 for shift in range(6, -1, -1))
+        return d, STRATA[c >> 7], m0, m1, y01, y11, m, y, table.x
+
+    _write_csv(path, ENCOUNTER_COLUMNS, code, row_of)
 
 
 def write_administrative(dataset: AdministrativeDataset, path: str | Path) -> None:
     """Write detainment records in the default schema (columns d, y, x)."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("d", "y", "x"))
-        writer.writerows(zip(dataset.d.tolist(), dataset.y.tolist(), map(str, dataset.x.tolist())))
+    keys = [str(key) for key in dataset.keys]
+    _write_csv(path, ("d", "y", "x"), dataset.cell, lambda c: (c >> 1 & 1, c & 1, keys[c >> 2]))
 
 
 def write_oracle_report(

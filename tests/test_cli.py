@@ -1,6 +1,7 @@
 """CLI tests: subcommand behaviour, exit codes, output schema stability."""
 
 import csv
+import importlib
 import io
 import json
 import os
@@ -245,6 +246,54 @@ def test_estimation_leaves_numpy_ma_unimported(strata_inputs):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr.splitlines()[-1] == "False"
+
+
+def test_estimation_imports_only_what_it_runs(strata_inputs):
+    script = (
+        "import sys\n"
+        "import crrkit\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('crrkit.'))\n"
+        "after_import = loaded()\n"
+        "from crrkit.cli import main\n"
+        f"assert main({ESTIMATE_STRATA_ARGV!r}) == 0\n"
+        f"assert main({SENSITIVITY_ARGV!r}) == 0\n"
+        "print(after_import, loaded(), sep='\\n', file=sys.stderr)\n"
+    )
+    src = str(Path(crrkit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    after_import, after_commands = done.stderr.splitlines()[-2:]
+    assert after_import == "[]"  # import crrkit loads no submodule
+    assert after_commands == str(
+        ["crrkit.cli", "crrkit.dataio", "crrkit.errors", "crrkit.estimate", "crrkit.report"]
+    )
+
+
+def test_package_exports_resolve():
+    for name in crrkit.__all__:
+        module = importlib.import_module(f"crrkit.{crrkit._EXPORTS[name]}")
+        expected = module if name == "errors" else getattr(module, name)
+        assert getattr(crrkit, name) is expected, name
+    namespace: dict = {}
+    exec("from crrkit import *", namespace)
+    assert set(crrkit.__all__) <= set(namespace)
+    assert set(crrkit.__all__) <= set(dir(crrkit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        crrkit.no_such_name
+
+
+def test_cli_keeps_the_names_the_benchmark_tracer_patches(monkeypatch, capsys):
+    import crrkit.cli
+
+    for name in ("bootstrap", "render", "run_verification", "stratified_estimates"):
+        assert callable(getattr(crrkit.cli, name)), name
+    # the cli's run_verification looks the verify module's function up on each call
+    monkeypatch.setattr(crrkit.verify, "run_verification", lambda **kwargs: [])
+    code, out, _ = run(capsys, ["verify"])
+    assert (code, out.splitlines()[-1]) == (0, "0/0 checks passed")
 
 
 @pytest.fixture

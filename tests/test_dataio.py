@@ -2,6 +2,8 @@
 
 import csv
 import io
+import os
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from crrkit import dataio
 from crrkit.dataio import (
     DEFAULT_SCHEMA,
     SchemaConfig,
@@ -382,35 +385,45 @@ class TestAdministrativeCountingPass:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        rows=st.lists(
-            st.sampled_from([5] * 8 + [4, 6]).flatmap(  # the header has 5 fields
-                lambda width: st.lists(FIELDS, min_size=width, max_size=width)
-            ),
+        rows=st.lists(  # each row: its width less the header's, and its values
+            st.tuples(st.sampled_from([0] * 8 + [-1, 1]), st.lists(FIELDS, min_size=6, max_size=6)),
             max_size=25,
         ),
         strata=st.sampled_from([(), ("s",), ("s", "t")]),
+        extra=st.booleans(),  # an unread id column, so the csv record pass reads the file
+        multiline=st.booleans(),  # keep "x\ny", which csv writes quoted
+        line_ends=st.lists(st.sampled_from(["\r\n", "\n", "\n\n"]), min_size=1, max_size=3),
         long_field=st.one_of(st.none(), st.integers(0, 25)),
         bom=st.booleans(),
         skip=st.booleans(),
     )
-    @example(rows=[["B", "2", "a", "b", "i"]] * 2 + [["W", "0", "a", "b", "i"]], strata=("s",),
-             long_field=2, bom=False, skip=False)
-    def test_matches_a_row_by_row_parse(self, tmp_path, rows, strata, long_field, bom, skip):
+    @example(rows=[(0, ["B", "2", "a", "i", "", ""])] * 2 + [(0, ["W", "0", "a", "i", "", ""])],
+             strata=("s",), extra=True, multiline=False, line_ends=["\r\n"], long_field=2,
+             bom=False, skip=False)
+    @example(rows=[(0, ["B", "2", "a", "", "", ""])] * 2 + [(0, ["W", "0", "a", "", "", ""])],
+             strata=("s",), extra=False, multiline=False, line_ends=["\n"], long_field=2,
+             bom=False, skip=False)
+    def test_matches_a_row_by_row_parse(
+        self, tmp_path, rows, strata, extra, multiline, line_ends, long_field, bom, skip
+    ):
         config = SchemaConfig(
             race_column="race",
             race_map={"B": 1, "W": 0},
             force_column="force",
             stratum_columns=strata,
         )
+        header = ("race", "force", *strata, *(("id",) if extra else ()))
         handle = io.StringIO()
-        writer = csv.writer(handle)
-        writer.writerow(("race", "force", "s", "t", "id"))
-        writer.writerows(rows)
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for delta, values in rows:
+            values = values[: len(header) + delta]
+            writer.writerow(values if multiline else [v.replace("\n", "") for v in values])
+        lines = handle.getvalue().split("\n")[:-1]
         if long_field is not None:  # text the csv module rejects, somewhere among the rows
-            lines = handle.getvalue().splitlines(keepends=True)
-            lines.insert(min(long_field, len(lines)), "B,1," + "z" * 100 + ",t,i\n")
-            handle = io.StringIO("".join(lines))
-        path = write(tmp_path, "admin.csv", ("\ufeff" if bom else "") + handle.getvalue())
+            lines.insert(min(long_field, len(lines)), "B,1," + "z" * 100)
+        text = "".join(line + line_ends[i % len(line_ends)] for i, line in enumerate(lines))
+        path = write(tmp_path, "admin.csv", ("\ufeff" if bom else "") + text)
         limit = csv.field_size_limit(50)
         try:
             try:
@@ -433,6 +446,121 @@ class TestAdministrativeCountingPass:
         assert (report.n_physical, report.n_loaded, report.n_dropped, report.n_unparseable) == (
             report_fields
         )
+
+
+def load_outcome(path, config=DEFAULT_SCHEMA, skip=False):
+    """What loading ``path`` gives: the cells in order, keys and report, or the error raised."""
+    try:
+        data, report = load_administrative(path, config, skip_unparseable=skip)
+    except UnparseableRowError as exc:
+        return type(exc), str(exc), exc.line
+    return data.cell.tolist(), data.keys, report.n_physical, report.n_loaded, report.n_dropped, (
+        report.n_unparseable
+    )
+
+
+class TestLineCounting:
+    """Distinct text lines are counted when the loader reads every column; else records are."""
+
+    @pytest.fixture
+    def line_path(self, monkeypatch):
+        """The results of the loader's line counts, one per load that tried one."""
+        results = []
+
+        def spy(handle, key, counts):
+            results.append(count_lines(handle, key, counts))
+            assert results[-1] or not counts  # a failed count leaves the record pass nothing
+            return results[-1]
+
+        count_lines = dataio._count_lines
+        monkeypatch.setattr(dataio, "_count_lines", spy)
+        return results
+
+    @staticmethod
+    def record_pass(monkeypatch, path, config=DEFAULT_SCHEMA, skip=False):
+        with monkeypatch.context() as patch:
+            patch.setattr(dataio, "_count_lines", lambda *args: False)
+            return load_outcome(path, config, skip)
+
+    def test_crlf_and_lf_line_endings(self, tmp_path, monkeypatch, line_path):
+        lines = ["1,1,a", "0,0,b", "1,1,a", "1,0,a", "0,0,b", "1,1,a"]
+        text = "d,y,x\r\n" + "".join(
+            line + ("\r\n" if i % 2 else "\n") for i, line in enumerate(lines)
+        )
+        path = write(tmp_path, "admin.csv", text)
+        outcome = load_outcome(path)
+        assert line_path == [True]
+        assert outcome == self.record_pass(monkeypatch, path)
+        assert outcome == ([3, 3, 3, 4, 4, 2], ("a", "b"), 6, 6, 0, 0)
+
+    def test_an_unread_column_takes_the_record_pass(self, tmp_path, monkeypatch, line_path):
+        rows = ["1,1,a", "0,0,b", "1,1,a", "7,1,c", "1,0,a"]
+        plain = write(tmp_path, "plain.csv", "d,y,x\n" + "".join(f"{r}\n" for r in rows))
+        with_id = write(
+            tmp_path, "id.csv", "d,y,x,id\n" + "".join(f"{r},{i}\n" for i, r in enumerate(rows))
+        )
+        outcome = load_outcome(with_id)
+        assert line_path == []  # one distinct line per row: not worth counting
+        assert outcome == load_outcome(plain) == ([3, 3, 4, 2], ("a", "b"), 5, 4, 1, 0)
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    @pytest.mark.parametrize("body", ['"1",1,a\n0,0,b\n1,1,a\n', '1,1,a\n0,0,"b"\n1,1,a\n'])
+    def test_a_quote_in_one_data_line(self, tmp_path, monkeypatch, line_path, bom, body):
+        quoted = write(tmp_path, "quoted.csv", bom + "d,y,x\n" + body)
+        plain = write(tmp_path, "plain.csv", bom + "d,y,x\n" + body.replace('"', ""))
+        outcome = load_outcome(quoted)
+        assert line_path == [False]  # a quoted field may span lines
+        assert outcome == self.record_pass(monkeypatch, quoted)
+        assert outcome == load_outcome(plain) == ([3, 3, 4], ("a", "b"), 3, 3, 0, 0)
+        assert line_path == [False, True]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_takes_the_record_pass(self, tmp_path, line_path):
+        # a pipe cannot be read again, so a quote found by a line count could not fall back
+        path = tmp_path / "admin.fifo"
+        os.mkfifo(path)
+        text = 'd,y,x\n1,1,"a"\n0,0,b\n'
+        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            outcome = load_outcome(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert line_path == []
+        assert outcome == ([3, 4], ("a", "b"), 2, 2, 0, 0)
+
+    def test_blank_lines(self, tmp_path, monkeypatch, line_path):
+        path = write(tmp_path, "admin.csv", "d,y,x\n1,1,a\n\n0,0,b\n\r\n1,1,a\n")
+        for skip in (False, True):
+            assert load_outcome(path, skip=skip) == self.record_pass(monkeypatch, path, skip=skip)
+        assert line_path == [True, True]
+        assert load_outcome(path) == (UnparseableRowError, "line 3: expected 3 fields, got 0", 3)
+        assert load_outcome(path, skip=True) == ([3, 3, 4], ("a", "b"), 5, 3, 0, 2)
+
+    def test_bad_row_after_text_the_csv_module_rejects(self, tmp_path, monkeypatch, line_path):
+        too_long = "a" * (csv.field_size_limit() + 1)
+        path = write(tmp_path, "admin.csv", f"d,y,x\n1,1,a\n0,0,{too_long}\n1,2,a\n1,1,a\n")
+        for skip in (False, True):
+            outcome = load_outcome(path, skip=skip)
+            assert outcome == self.record_pass(monkeypatch, path, skip=skip)
+            assert outcome[::2] == (UnparseableRowError, 3)
+            assert "field larger than field limit" in outcome[1]
+        assert line_path == [False, False]  # the csv module's error sends it to the record pass
+
+    def test_text_the_csv_module_rejects_before_bytes_that_are_not_utf8(
+        self, tmp_path, monkeypatch, line_path
+    ):
+        # the csv error comes first in the file, so the record pass raises it
+        too_long = "a" * (csv.field_size_limit() + 1)
+        path = tmp_path / "admin.csv"
+        path.write_bytes(
+            f"d,y,x\n1,1,a\n0,0,{too_long}\n".encode() + b"1,1,a\n" * 10_000 + b"1,1,\xff\n"
+        )
+        outcome = load_outcome(path)
+        assert line_path == [False]
+        assert outcome == self.record_pass(monkeypatch, path)
+        assert outcome[::2] == (UnparseableRowError, 3)
 
 
 class TestSchemaFromDict:
@@ -734,6 +862,21 @@ class TestRoundTrips:
             )
         path = tmp_path / "enc.csv"
         write_encounters(table, path)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_administrative_export_matches_a_row_by_row_writer(self, tmp_path):
+        rng = np.random.default_rng(4)
+        keys = ["a", "cell, 7", 'say "b"', ("t", 1)]  # csv must quote two; one is not a str
+        x = np.fromiter((keys[i] for i in rng.integers(0, 4, 1000)), dtype=object, count=1000)
+        d, y = rng.integers(0, 2, (2, 1000))
+        data = AdministrativeDataset.from_columns(d, y, x)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(("d", "y", "x"))
+        for i in range(data.n):
+            writer.writerow((int(data.d[i]), int(data.y[i]), str(data.x[i])))
+        path = tmp_path / "admin.csv"
+        write_administrative(data, path)
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_model_file_round_trip(self, tmp_path):
