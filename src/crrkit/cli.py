@@ -30,6 +30,7 @@ from .errors import (
     ZeroMassError,
 )
 from .estimate import (
+    MAX_REPLICATES,
     AdministrativeDataset,
     ExternalRaceDistribution,
     Statistic,
@@ -464,6 +465,15 @@ def main(argv: list[str] | None = None) -> int:
             if size is not None and not 1 <= size <= MAX_SIZE:
                 flag = "--" + dest.replace("_", "-")
                 raise DataError(f"{flag} must be an integer from 1 to {MAX_SIZE}, got {size}")
+        replicates, level = getattr(args, "bootstrap", None), getattr(args, "level", None)
+        # bootstrap would reject these only when a stratum has rows, and then name no flag
+        if replicates is not None and not 2 <= replicates <= MAX_REPLICATES:
+            raise DataError(
+                f"--bootstrap must be at least 2 and at most {MAX_REPLICATES} replicates, "
+                f"got {replicates}"
+            )
+        if level is not None and not 0.0 < level < 1.0:  # NaN fails too
+            raise DataError(f"--level must lie strictly between 0 and 1, got {level}")
         if args.subcommand == "simulate":
             return cmd_simulate(args)
         if args.subcommand == "estimands":

@@ -20,15 +20,15 @@ The schema config is a JSON object, type-checked by SchemaConfig.from_dict;
 the default matches the simulator's administrative export (columns d, y, x),
 so exported fixtures round-trip with no config at all.
 
-The three loaders share one header check, ``_header``. The census and
-survey loaders parse row by row through ``_read_rows``, which checks row
-widths and counts rows loaded, dropped and unparseable. The administrative
-loader instead counts the distinct (race, force, stratum) tuples of the file
-and parses each tuple once: one pass on success, with memory that grows with
-the distinct tuples, not the rows; a failure re-scans the file for its line.
-When the loader reads every column of a regular file, the pass counts
-distinct text lines instead, unless a line holds a quote or is rejected by
-the csv module.
+The three loaders share one reader, ``_load_rows``. It counts the file's
+rows by their values of the columns a loader reads and hands each distinct
+row to the loader's parser once, with its number of rows: one pass on
+success, with memory that grows with the distinct rows, not the rows; a
+failure re-reads the file for its line (a pipe notes each row's first line
+instead). When the loader reads every column of a regular file, the pass
+counts distinct text lines instead, unless a line holds a quote or is
+rejected by the csv module. So records, census rows and survey respondents
+are all counted at load.
 Loaders are deterministic: identical bytes produce identical datasets, and
 the returned objects are immutable and freely shareable.
 """
@@ -39,11 +39,11 @@ import csv
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,6 +66,9 @@ if TYPE_CHECKING:  # model and simulate load only when a function below needs th
 
 #: Tokens treated as a missing value in survey item columns.
 MISSING_TOKENS = ("", "NA", "na", "N/A")
+
+#: The value of each survey item token that parses: 0, 1, or None for a missing value.
+ITEM_VALUES = {"0": 0, "1": 1, **dict.fromkeys(MISSING_TOKENS)}
 
 #: Survey subset modes, named after the respondent rule they apply.
 SURVEY_MODES = (
@@ -191,54 +194,6 @@ def _header(reader, path: str | Path, required: Sequence[str]) -> tuple[dict[str
     return indices, len(header)
 
 
-def _read_rows(
-    path: str | Path,
-    required: Sequence[str],
-    parse: Callable[[list[str], dict[str, int], int], tuple | None],
-    values: list,
-    skip_unparseable: bool = False,
-) -> LoadReport:
-    """Parse each data row of a CSV file with ``parse(row, indices, line)``.
-
-    ``indices`` maps every header name to its position and ``line`` is the
-    row's physical line number. ``parse`` returns the row's values, or None
-    for a dropped row (unmapped race). A row of the wrong width, or one that
-    ``parse`` rejects with UnparseableRowError, stops the load; with
-    ``skip_unparseable`` it is counted and skipped instead. Text the csv
-    module cannot split into fields always stops the load.
-
-    The loaded rows' values extend the caller's ``values``, row after row, so
-    column ``i`` of rows with ``k`` values is ``values[i::k]``; a tuple per
-    row would hold several times the memory of the columns.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as handle:  # tolerate a byte-order mark
-        reader = csv.reader(handle)
-        try:
-            indices, width = _header(reader, path, required)
-            loaded = dropped = unparseable = 0
-            for row in reader:
-                try:
-                    if len(row) != width:
-                        raise UnparseableRowError(
-                            f"expected {width} fields, got {len(row)}", reader.line_num
-                        )
-                    parsed = parse(row, indices, reader.line_num)
-                except UnparseableRowError:
-                    if not skip_unparseable:
-                        raise
-                    unparseable += 1
-                    continue
-                if parsed is None:
-                    dropped += 1
-                else:
-                    values.extend(parsed)
-                    loaded += 1
-        except csv.Error as exc:  # malformed CSV, e.g. a field over the csv module's size limit
-            raise UnparseableRowError(str(exc), reader.line_num) from exc
-    physical = loaded + dropped + unparseable
-    return LoadReport(str(path), physical, loaded, dropped, unparseable)
-
-
 def _stratum_key(values: Sequence[str], line: int) -> str:
     """Stratum key of a row's stratum column values: joined by STRATUM_SEPARATOR.
 
@@ -265,28 +220,141 @@ def _parse_binary(token: str, what: str, line: int) -> int:
     raise UnparseableRowError(f"{what} must be 0 or 1, got {token!r}", line)
 
 
-def _count_lines(handle, key: Callable[[list[str]], Hashable], counts: Counter) -> bool:
-    """Add each remaining line's ``key`` to ``counts``, splitting each distinct line once.
+def _count_lines(handle, key: Callable[[list[str]], Hashable], tally: Callable) -> tuple | None:
+    """``tally`` of each remaining distinct line's ``key`` and count; each line is split once.
 
-    False, with nothing counted, unless every line is one csv record that the
+    None, with nothing tallied, unless every line is one csv record that the
     csv module accepts; the caller's csv record pass then decides the outcome.
     """
     try:
         first = handle.readline()  # "" when no line follows the header
         if '"' in first:  # every line quoted, as R's write.csv writes: spare the count
-            return False
+            return None
         lines = Counter(chain((first,), handle) if first else ())  # in C, first-occurrence order
     except UnicodeDecodeError:  # the record pass may meet a csv error first
-        return False
+        return None
     if any('"' in line for line in lines):  # a quoted field may span lines
-        return False
+        return None
     try:
-        for row, count in zip(csv.reader(lines), lines.values()):
-            counts[key(row)] += count
+        return tally(zip(map(key, csv.reader(lines)), lines.values()))
     except csv.Error:
-        counts.clear()
-        return False
-    return True
+        return None
+
+
+def _first_line(path: str | Path, key: Callable[[list[str]], Hashable], target: Hashable) -> int:
+    """The physical line number of the first data row whose ``key`` is ``target``."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        next(reader)  # the header, read once already
+        for row in reader:
+            if key(row) == target:
+                return reader.line_num
+    raise DataError(f"{path}: file changed while it was read")
+
+
+def _load_rows(
+    path: str | Path,
+    required: Sequence[str],
+    parse: Callable[[tuple[str, ...], int], Hashable | None],
+    *,
+    optional: Sequence[str] = (),
+    skip_unparseable: bool = False,
+) -> tuple[Counter, LoadReport]:
+    """The number of data rows of a CSV file with each parsed value, parsing each distinct row once.
+
+    ``parse(values, line)`` gets a row's values of the ``required`` columns,
+    then of the ``optional`` ones ("" for an optional column the header
+    lacks), and the row's physical line number; it returns the parsed row, or
+    None for a dropped row (unmapped race). A row of the wrong width, or one
+    that ``parse`` rejects with UnparseableRowError, stops the load; with
+    ``skip_unparseable`` it is counted and skipped instead. Any other
+    DataError from ``parse`` stops the load, and so does text the csv module
+    cannot split into fields, once the rows before it are counted.
+
+    One pass counts the file's rows by key: a row's values of the columns
+    read, or its width alone when that is wrong. When every header column is
+    read, the pass counts the distinct text lines in C and splits each with
+    the csv module once; it reads one csv record at a time when the file has
+    another column (its lines would all differ) or is a pipe, a data line
+    holds a quote (a quoted field may span lines), or the csv module rejects
+    a line. Memory grows with the distinct lines or keys, not with the rows,
+    and the parsed values come out in the order each first occurs. The first
+    failing distinct row is the file's first failing row; only then is the
+    file read again, up to that row, for its line number. A pipe cannot be
+    read again, so its pass notes the line where each key first occurs.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:  # tolerate a byte-order mark
+        reader = csv.reader(handle)
+        try:
+            indices, width = _header(reader, path, required)
+        except csv.Error as exc:
+            raise UnparseableRowError(str(exc), reader.line_num) from exc
+        positions = [indices.get(column) for column in (*required, *optional)]
+        read = [p for p in positions if p is not None]  # None: an absent optional column
+        absent = [i for i, p in enumerate(positions) if p is None]
+        project = itemgetter(*read)
+        first_lines: dict[Hashable, int] = {}  # noted only when the file is a pipe
+
+        def row_key(row: list[str]) -> Hashable:
+            return project(row) if len(row) == width else len(row)
+
+        def noted_key(row: list[str]) -> Hashable:
+            key = row_key(row)
+            first_lines.setdefault(key, reader.line_num)
+            return key
+
+        def parse_key(key: Hashable, line: int) -> Hashable | None:
+            if isinstance(key, int):
+                raise UnparseableRowError(f"expected {width} fields, got {key}", line)
+            if len(read) == 1:  # itemgetter returns a lone item bare
+                key = (key,)
+            if absent:
+                key = list(key)
+                for i in absent:  # in increasing order, so each lands at its own index
+                    key.insert(i, "")
+            return parse(tuple(key), line)
+
+        def tally(counts: Iterable[tuple[Hashable, int]]) -> tuple[Counter, LoadReport]:
+            loaded: Counter = Counter()  # insertion order is first-occurrence order
+            dropped = unparseable = 0
+            failed = None
+            for key, count in counts:
+                try:
+                    parsed = parse_key(key, 0)  # line 0 stands in until a failure is located
+                except DataError as exc:
+                    if not (skip_unparseable and isinstance(exc, UnparseableRowError)):
+                        failed = key
+                        break
+                    unparseable += count
+                    continue
+                if parsed is None:
+                    dropped += count
+                else:
+                    loaded[parsed] += count
+            if failed is not None:  # the first failing distinct row is the file's first failing row
+                parse_key(failed, first_lines.get(failed) or _first_line(path, row_key, failed))
+            n = sum(loaded.values())
+            return loaded, LoadReport(str(path), n + dropped + unparseable, n, dropped, unparseable)
+
+        # an unread column would make every line distinct, and a pipe cannot be read twice
+        if set(read) == set(range(width)) and handle.seekable():
+            result = _count_lines(handle, row_key, tally)
+            if result is not None:
+                return result
+            handle.seek(0)  # the record pass, from the top
+            reader = csv.reader(handle)
+            next(reader)
+        counts: Counter = Counter()  # insertion order is first-occurrence order
+        csv_error = None
+        try:  # rows counted before an error stay counted
+            counts.update(map(row_key if handle.seekable() else noted_key, reader))
+        except csv.Error as exc:  # malformed CSV, e.g. a field over the csv module's size limit
+            csv_error = UnparseableRowError(str(exc), reader.line_num)
+            csv_error.__cause__ = exc
+    result = tally(counts.items())
+    if csv_error is not None:  # every row before the malformed text loaded, dropped or skipped
+        raise csv_error
+    return result
 
 
 def load_administrative(
@@ -299,92 +367,24 @@ def load_administrative(
 
     Rows with a race string outside the race map are dropped and counted.
     Malformed rows raise UnparseableRowError with the physical line number;
-    with ``skip_unparseable`` they are counted and skipped instead.
-
-    One pass counts the file's rows by key: a row's race, force and stratum
-    values, or its width alone when that is wrong. When the loader reads
-    every header column, the pass counts the distinct text lines in C and
-    splits each with the csv module once; it reads one csv record at a time
-    when the file has another column (its lines would all differ) or is a
-    pipe, a data line holds a quote (a quoted field may span lines), or the
-    csv module rejects a line. Each distinct key is then parsed once.
-    Memory grows with the distinct lines or keys, not with the rows, and the
-    records come out grouped by distinct row in the order each first occurs.
-    The first failing distinct row is the file's first failing row; only
-    then is the file read again, up to that row, for its line number.
+    with ``skip_unparseable`` they are counted and skipped instead. The
+    records come out grouped by (race, force, stratum), in the order each
+    first occurs.
     """
     race_map = config.race_map
+
+    def parse(values: tuple[str, ...], line: int) -> tuple[int, int, str] | None:
+        d = race_map.get(values[0].strip())
+        if d is None:
+            return None
+        return d, _parse_binary(values[1], "force", line), _stratum_key(values[2:], line)
+
     required = [config.race_column, config.force_column, *config.stratum_columns]
-
-    def row_key(row: list[str]) -> tuple[str, ...] | int:
-        return project(row) if len(row) == width else len(row)
-
-    def first_line(key: tuple[str, ...] | int) -> int:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            next(reader)  # the header, read once already
-            for row in reader:
-                if row_key(row) == key:
-                    return reader.line_num
-        raise DataError(f"{path}: file changed while it was read")
-
-    def count_records(reader) -> UnparseableRowError | None:
-        """Count each remaining record's key; the csv module's error, if it stopped the count."""
-        try:
-            counts.update(map(row_key, reader))  # rows counted before an error stay counted
-        except csv.Error as exc:  # malformed CSV, e.g. a field over the csv module's size limit
-            error = UnparseableRowError(str(exc), reader.line_num)
-            error.__cause__ = exc
-            return error
-        return None
-
-    counts: Counter = Counter()  # insertion order is first-occurrence order
-    with open(path, newline="", encoding="utf-8-sig") as handle:  # tolerate a byte-order mark
-        reader = csv.reader(handle)
-        try:
-            indices, width = _header(reader, path, required)
-        except csv.Error as exc:
-            raise UnparseableRowError(str(exc), reader.line_num) from exc
-        positions = [indices[column] for column in required]
-        project = itemgetter(*positions)
-        csv_error = None
-        # an unread column would make every line distinct, and a pipe cannot be read twice
-        if set(positions) != set(range(width)) or not handle.seekable():
-            csv_error = count_records(reader)
-        elif not _count_lines(handle, row_key, counts):  # the record pass, from the top
-            handle.seek(0)
-            reader = csv.reader(handle)
-            next(reader)
-            csv_error = count_records(reader)
-
+    loaded, report = _load_rows(path, required, parse, skip_unparseable=skip_unparseable)
     codes: dict[str, int] = {}
-    cells: list[int] = []
-    repeats: list[int] = []
-    dropped = unparseable = 0
-    for key, count in counts.items():
-        try:  # line 0 stands in until a failure is located
-            if isinstance(key, int):
-                raise UnparseableRowError(f"expected {width} fields, got {key}", 0)
-            d = race_map.get(key[0].strip())
-            if d is None:
-                dropped += count
-                continue
-            y = _parse_binary(key[1], "force", 0)
-            stratum = _stratum_key(key[2:], 0)
-        except UnparseableRowError as exc:
-            if not skip_unparseable:
-                raise UnparseableRowError(exc.reason, first_line(key)) from None
-            unparseable += count
-            continue
-        cells.append(4 * codes.setdefault(stratum, len(codes)) + 2 * d + y)
-        repeats.append(count)
-    if csv_error is not None:  # every row before the malformed text loaded, dropped or skipped
-        raise csv_error
-    cell = np.repeat(np.array(cells, dtype=np.intc), repeats)
-    physical = cell.size + dropped + unparseable
-    return AdministrativeDataset(cell, tuple(codes)), LoadReport(
-        str(path), physical, cell.size, dropped, unparseable
-    )
+    cells = [4 * codes.setdefault(x, len(codes)) + 2 * d + y for d, y, x in loaded]
+    cell = np.repeat(np.array(cells, dtype=np.intc), list(loaded.values()))
+    return AdministrativeDataset(cell, tuple(codes)), report
 
 
 CENSUS_COLUMNS = ("stratum", "count_d1", "count_d0")
@@ -398,55 +398,52 @@ def load_census(path: str | Path) -> tuple[ExternalRaceDistribution, LoadReport]
     counts raise NegativeCountError.
     """
 
-    def parse(row: list[str], indices: dict[str, int], line: int) -> tuple:
-        tokens = [row[indices[column]].strip() for column in ("count_d1", "count_d0")]
+    def parse(values: tuple[str, ...], line: int) -> tuple[str, float, float]:
+        stratum, *tokens = [value.strip() for value in values]
         # ASCII decimals with an optional exponent, as R writes 1e+05
         if not all(re.fullmatch(r"-?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?", t) for t in tokens):
             raise UnparseableRowError(f"counts must be decimal numbers, got {tokens}", line)
         c1, c0 = map(float, tokens)
         if not (np.isfinite(c1) and np.isfinite(c0)) or c1 < 0 or c0 < 0:
             raise NegativeCountError(f"{path} line {line}: counts must be finite and nonnegative")
-        return row[indices["stratum"]].strip(), c1, c0
+        return stratum, c1, c0
 
-    values: list = []
-    report = _read_rows(path, CENSUS_COLUMNS, parse, values)
+    loaded, report = _load_rows(path, CENSUS_COLUMNS, parse)
     counts: dict[str, tuple[float, float]] = {}
-    for key, c1, c0 in zip(values[0::3], values[1::3], values[2::3]):  # duplicates accumulate
+    for (key, c1, c0), rows in loaded.items():  # duplicates accumulate
         old1, old0 = counts.get(key, (0.0, 0.0))
-        counts[key] = (old1 + c1, old0 + c0)
+        counts[key] = (old1 + rows * c1, old0 + rows * c0)
     return ExternalRaceDistribution.census_from_counts(counts), report
 
 
 @dataclass(frozen=True)
 class SurveyTable:
-    """Raw survey respondents; None marks a missing item response."""
+    """Distinct survey respondents and the number of rows each stands for.
 
-    race: tuple[int | None, ...]
-    stop_public: tuple[int | None, ...]
-    stop_vehicle: tuple[int | None, ...]
-    stop_other: tuple[int | None, ...]
-    contacts: tuple[int | None, ...]
-    large_metro: tuple[int | None, ...]
-    x: tuple[str, ...]
+    A respondent is (race, stop_public, stop_vehicle, stop_other, contacts,
+    large_metro, stratum key); None marks a missing item response.
+    """
+
+    respondents: tuple[tuple, ...]
+    count: tuple[int, ...]
 
     @property
     def n(self) -> int:
-        return len(self.race)
+        return sum(self.count)
 
 
-def _parse_item(row: list[str], pos: int | None, what: str, line: int) -> int | None:
-    """0/1 item at ``pos``; None when missing or the column is absent (``pos`` None)."""
-    token = "" if pos is None else row[pos].strip()
+def _parse_item(token: str, what: str, line: int) -> int | None:
+    token = token.strip()
+    if token in ITEM_VALUES:
+        return ITEM_VALUES[token]
+    raise UnparseableRowError(f"{what} must be 0 or 1, got {token!r}", line)
+
+
+def _parse_count(token: str, line: int) -> int | None:
+    token = token.strip()
     if token in MISSING_TOKENS:
         return None
-    return _parse_binary(token, what, line)
-
-
-def _parse_count(row: list[str], pos: int | None, line: int) -> int | None:
-    token = "" if pos is None else row[pos].strip()
-    if token in MISSING_TOKENS:
-        return None
-    if not re.fullmatch(r"[0-9]+", token):  # ASCII digits only
+    if not (token.isascii() and token.isdigit()):  # [0-9]+
         raise UnparseableRowError(f"contact count {token!r} is not a nonnegative integer", line)
     return int(token)
 
@@ -465,30 +462,32 @@ def load_survey(
     schema = config.survey
     race_map = config.survey_race_map()
     items = ("stop_public", "stop_vehicle", "stop_other", "large_metro")
-    item_columns = [(name, getattr(schema, f"{name}_column")) for name in items]
+    first_item = 1 + len(schema.stratum_columns)  # race, the stratum values, then the items
+    keys: dict[str, str] = {}  # one string per stratum key, shared by its respondents
 
-    def parse(row: list[str], indices: dict[str, int], line: int) -> tuple | None:
-        d = race_map.get(row[indices[schema.race_column]].strip())
+    def parse(values: tuple[str, ...], line: int) -> tuple | None:
+        d = race_map.get(values[0].strip())
         if d is None:
             return None
         public, vehicle, other, metro = [
-            _parse_item(row, indices.get(column), name, line) for name, column in item_columns
+            _parse_item(token, name, line) for token, name in zip(values[first_item:], items)
         ]
-        contacts = _parse_count(row, indices.get(schema.contacts_column), line)
-        key = _stratum_key([row[indices[column]] for column in schema.stratum_columns], line)
-        return d, public, vehicle, other, contacts, metro, key
+        contacts = _parse_count(values[-1], line)
+        key = _stratum_key(values[1:first_item], line)
+        return d, public, vehicle, other, contacts, metro, keys.setdefault(key, key)
 
     required = [schema.race_column, *schema.stratum_columns]
-    values: list = []
-    report = _read_rows(path, required, parse, values, skip_unparseable)
-    width = len(fields(SurveyTable))
-    return SurveyTable(*(tuple(values[i::width]) for i in range(width))), report
+    optional = [*(getattr(schema, f"{name}_column") for name in items), schema.contacts_column]
+    loaded, report = _load_rows(
+        path, required, parse, optional=optional, skip_unparseable=skip_unparseable
+    )
+    return SurveyTable(tuple(loaded), tuple(loaded.values())), report
 
 
 def derive_survey_distribution(
     survey: SurveyTable, mode: str
 ) -> ExternalRaceDistribution:
-    """Apply a subset/weighting mode and reduce respondents to race shares.
+    """Apply a subset/weighting mode and count respondents per (stratum, race, weight).
 
     A respondent missing any item the mode reads is excluded. Weighted modes
     use the reported contact count as the weight after removing respondents
@@ -501,33 +500,27 @@ def derive_survey_distribution(
     weighted = mode in ("weighted", "weighted-large-metro")
     needs_metro = mode in ("large-metro", "weighted-large-metro")
 
-    rows: list[tuple[int, str, float]] = []
-    for i in range(survey.n):
-        race = survey.race[i]
-        if race is None:
+    counts: Counter = Counter()
+    for respondent, count in zip(survey.respondents, survey.count):
+        race, public, vehicle, other, contacts, metro, x = respondent
+        if needs_metro and metro != 1:
             continue
-        if needs_metro and survey.large_metro[i] != 1:
+        if mode == "mv-stop" and vehicle != 1:
             continue
-        if mode == "mv-stop" and survey.stop_vehicle[i] != 1:
+        if mode == "stop-in-public" and (None in (public, other) or 1 not in (public, other)):
             continue
-        if mode == "stop-in-public":
-            public, other = survey.stop_public[i], survey.stop_other[i]
-            if None in (public, other) or 1 not in (public, other):
-                continue
         weight = 1.0
         if weighted:
-            contacts = survey.contacts[i]
             if contacts is None or contacts > MAX_WEIGHTED_CONTACTS:
                 continue
             weight = float(contacts)
-        rows.append((race, survey.x[i], weight))
+        counts[x, race, weight] += count
 
-    if not rows:
+    if not counts:
         raise EmptySubsetError(f"survey mode {mode!r} selected no usable respondents")
-    respondents = SurveyRespondents.from_rows(rows)
-    if float(np.sum(respondents.weight)) <= 0.0:
+    if not any(weight for _, _, weight in counts):
         raise EmptySubsetError(f"survey mode {mode!r} subset has zero total weight")
-    return ExternalRaceDistribution.from_survey(respondents)
+    return ExternalRaceDistribution.from_survey(SurveyRespondents.from_counts(counts))
 
 
 # -- model files and artifact writers ------------------------------------------

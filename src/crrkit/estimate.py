@@ -16,23 +16,25 @@ alongside the administrative rows.
 
 Every statistic depends only on the scope's four record counts (n1, n0, f1,
 f0) and, for the adjusted ones, the external minority share p1; each formula
-is written once, on those counts. So each dataset is reduced once, on first
-use, to per-stratum count tables (records per cell 2*d + y; respondents per
-distinct (race, weight) cell, on which every survey share, point and
-replicate alike, is one weighted sum), and estimation reads only those. The
-bootstrap supports exactly these four statistics. Resampling n rows with
-replacement and counting them is a multinomial draw over the cells 2*d + y,
-so one bootstrap call draws the counts of all its replicates at once from
-one generator (for survey sources, the respondent counts per (race, weight)
-cell after them), then evaluates the statistic on each replicate's counts.
+is written once, on those counts. So estimation reads only per-stratum count
+tables: records per cell 2*d + y, counted once on first use, and survey
+respondents per distinct (race, weight) cell, counted when the respondents
+are built; every survey share, point and replicate alike, is one weighted
+sum over those cells. The bootstrap supports exactly these four statistics.
+Resampling n rows with replacement and counting them is a multinomial draw
+over the cells 2*d + y, so one bootstrap call draws the counts of all its
+replicates at once from one generator (for survey sources, the respondent
+counts per (race, weight) cell after them), then evaluates the statistic on
+each replicate's counts.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,10 +47,6 @@ from .errors import (
     ZeroDenominatorError,
 )
 
-def _columns(rows: Sequence[tuple], *dtypes) -> list[np.ndarray]:
-    """The columns of row tuples, one array per dtype."""
-    return [np.array([row[i] for row in rows], dtype) for i, dtype in enumerate(dtypes)]
-
 
 def _check_binary(name: str, values) -> None:
     values = np.asarray(values)
@@ -58,17 +56,6 @@ def _check_binary(name: str, values) -> None:
         valid = np.all((values == 0) | (values == 1))
     if not valid:
         raise ValueError(f"{name} values must be 0 or 1")
-
-
-def _codes(x: np.ndarray) -> tuple[dict, np.ndarray]:
-    """Each key's stratum code, in first-seen order, and each row's code (int32).
-
-    The dict pass never sorts or copies the object column."""
-    codes: dict = {}
-    code = np.fromiter(
-        (codes.setdefault(v, len(codes)) for v in x), dtype=np.int32, count=len(x)
-    )
-    return codes, code
 
 
 @dataclass(frozen=True)
@@ -96,7 +83,10 @@ class AdministrativeDataset:
             raise ValueError("column arrays must have equal length")
         _check_binary("d", d)
         _check_binary("y", y)
-        codes, cell = _codes(x)
+        codes: dict = {}  # each key's code, in first-seen order: x is never sorted or copied
+        cell = np.fromiter(
+            (codes.setdefault(v, len(codes)) for v in x), dtype=np.int32, count=len(x)
+        )
         for column in (d, y):  # cell = 4*code + 2*d + y, in place on int32
             cell *= 2
             cell += np.asarray(column, dtype=np.int8)
@@ -104,7 +94,8 @@ class AdministrativeDataset:
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[int, int, str]]) -> "AdministrativeDataset":
-        return cls.from_columns(*_columns(rows, np.int8, np.int8, object))
+        d, y, x = ([row[i] for row in rows] for i in range(3))
+        return cls.from_columns(np.array(d, np.int8), np.array(y, np.int8), np.array(x, object))
 
     @classmethod
     def concat(cls, parts: Sequence["AdministrativeDataset"]) -> "AdministrativeDataset":
@@ -156,50 +147,48 @@ def _weighted_shares(counts: np.ndarray, cells: np.ndarray) -> list[float | None
     return [w1 / w if w > 0.0 else None for w1, w in zip(minority, totals)]
 
 
+def _cell_table(counts: Mapping[tuple[int, float], int]) -> tuple[np.ndarray, np.ndarray]:
+    """The (race, weight) cells of ``counts`` sorted, as a float (k, 2) array, and their counts."""
+    cells = sorted(counts)
+    return np.array(cells, dtype=float).reshape(-1, 2), np.array(
+        [counts[cell] for cell in cells], dtype=np.int64
+    )
+
+
 @dataclass(frozen=True)
 class SurveyRespondents:
-    """Survey microdata reduced to (race, stratum key, resampling weight)."""
+    """Survey respondents counted by stratum key and (race, resampling weight) cell.
 
-    d: np.ndarray
-    x: np.ndarray
-    weight: np.ndarray
+    ``table`` maps each stratum key, and None for the pool of all strata, to
+    its cells sorted by (race, weight) and the respondent count of each; the
+    order of the cells is the category order of the bootstrap's multinomial.
+    """
+
+    table: Mapping[Hashable, tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self) -> None:
-        if not (len(self.d) == len(self.x) == len(self.weight)):
-            raise ValueError("column arrays must have equal length")
-        _check_binary("d", self.d)
-        w = np.asarray(self.weight, dtype=float)
-        if len(w) and (not np.all(np.isfinite(w)) or np.any(w < 0)):
+        cells = self.table[None][0]  # the pool holds every cell
+        _check_binary("d", cells[:, 0])
+        if not np.all(np.isfinite(cells[:, 1])) or np.any(cells[:, 1] < 0):
             raise ValueError("weights must be finite and nonnegative")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[tuple[int, str, float]]) -> "SurveyRespondents":
-        return cls(*_columns(rows, np.int8, object, float))
+    def from_counts(cls, counts: Mapping[tuple[Hashable, int, float], int]) -> "SurveyRespondents":
+        """Respondents from their number per (stratum key, race, weight)."""
+        scopes: dict[Hashable, Counter] = {None: Counter()}
+        for (key, d, weight), count in counts.items():
+            scopes.setdefault(key, Counter())[d, weight] += count
+            scopes[None][d, weight] += count
+        return cls({key: _cell_table(cells) for key, cells in scopes.items()})
 
-    @property
-    def n(self) -> int:
-        return len(self.d)
-
-    @cached_property
-    def _table(self) -> dict[str | None, tuple[np.ndarray, np.ndarray]]:
-        """The sorted distinct (race, weight) cells of each stratum and of the pool
-        (key None), with their respondent counts."""
-        codes, code = _codes(self.x)
-        cells, counts = np.unique(
-            np.column_stack([code, self.d, self.weight]), axis=0, return_counts=True
-        )
-        bounds = np.searchsorted(cells[:, 0], np.arange(len(codes) + 1))
-        table = {
-            key: (cells[lo:hi, 1:], counts[lo:hi])
-            for key, lo, hi in zip(codes, bounds[:-1], bounds[1:])
-        }
-        pooled, inverse = np.unique(cells[:, 1:], axis=0, return_inverse=True)
-        table[None] = (pooled, np.bincount(inverse.ravel(), counts, len(pooled)).astype(np.int64))
-        return table
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[int, Hashable, float]]) -> "SurveyRespondents":
+        """Respondents from (race, stratum key, weight) rows, counted."""
+        return cls.from_counts(Counter((x, d, weight) for d, x, weight in rows))
 
     def _scope(self, x: str | None) -> tuple[np.ndarray, np.ndarray]:
         """The (race, weight) cells of stratum ``x`` (None = all) and their respondent counts."""
-        return self._table.get(x, (np.empty((0, 2)), np.empty(0, dtype=np.int64)))
+        return self.table.get(x, (np.empty((0, 2)), np.empty(0, dtype=np.int64)))
 
     def _share(self, x: str | None) -> float | None:
         cells, counts = self._scope(x)
@@ -210,7 +199,7 @@ class SurveyRespondents:
         return self._share(None)
 
     def shares_by_stratum(self) -> dict[str, float | None]:
-        return {key: self._share(key) for key in sorted(k for k in self._table if k is not None)}
+        return {key: self._share(key) for key in sorted(k for k in self.table if k is not None)}
 
 
 @dataclass(frozen=True)

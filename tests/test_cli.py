@@ -793,6 +793,35 @@ class TestConfigAndErrors:
         assert "at most 100000 replicates" in err
         assert out == ""
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("bootstrap", 1, "--bootstrap must be at least 2 and at most 100000 replicates, got 1"),
+            ("bootstrap", 100001,
+             "--bootstrap must be at least 2 and at most 100000 replicates, got 100001"),
+            ("level", 5.0, "--level must lie strictly between 0 and 1, got 5.0"),
+            ("level", 0.0, "--level must lie strictly between 0 and 1, got 0.0"),
+            ("level", float("nan"), "--level must lie strictly between 0 and 1, got nan"),
+        ],
+    )
+    def test_bootstrap_and_level_checked_before_inputs_are_read(
+        self, capsys, tmp_path, via, key, value, message
+    ):
+        admin = tmp_path / "admin.csv"
+        admin.write_text("d,y,x\n7,1,a\n7,0,a\n")  # every race unmapped: no bootstrap call runs
+        census = tmp_path / "census.csv"
+        census.write_text("stratum,count_d1,count_d0\na,1,1\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        setting = ["--config", str(config)] if via == "config" else [f"--{key}", str(value)]
+        for argv in (
+            ["sensitivity", "--admin", str(admin), "--lambda", "0.5", "--citywide-p1", "0.3"],
+            ["estimate", "--admin", str(tmp_path / "missing.csv")],
+        ):
+            code, out, err = run(capsys, [*argv, "--census", str(census), *setting])
+            assert (code, out, err) == (2, "", f"error: {message}\n"), argv[0]
+
     @pytest.mark.parametrize(
         "config",
         [

@@ -464,13 +464,17 @@ class TestLineCounting:
 
     @pytest.fixture
     def line_path(self, monkeypatch):
-        """The results of the loader's line counts, one per load that tried one."""
+        """Whether each line count the loader tried decided the load."""
         results = []
 
-        def spy(handle, key, counts):
-            results.append(count_lines(handle, key, counts))
-            assert results[-1] or not counts  # a failed count leaves the record pass nothing
-            return results[-1]
+        def spy(handle, key, tally):
+            decided = True  # an error raised from the tally decides the load too
+            try:
+                result = count_lines(handle, key, tally)
+                decided = result is not None  # None: the record pass decides
+                return result
+            finally:
+                results.append(decided)
 
         count_lines = dataio._count_lines
         monkeypatch.setattr(dataio, "_count_lines", spy)
@@ -479,7 +483,7 @@ class TestLineCounting:
     @staticmethod
     def record_pass(monkeypatch, path, config=DEFAULT_SCHEMA, skip=False):
         with monkeypatch.context() as patch:
-            patch.setattr(dataio, "_count_lines", lambda *args: False)
+            patch.setattr(dataio, "_count_lines", lambda *args: None)
             return load_outcome(path, config, skip)
 
     def test_crlf_and_lf_line_endings(self, tmp_path, monkeypatch, line_path):
@@ -529,6 +533,67 @@ class TestLineCounting:
         assert not writer.is_alive()
         assert line_path == []
         assert outcome == ([3, 4], ("a", "b"), 2, 2, 0, 0)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "load, text, message",
+        [
+            (load_administrative, "d,y,x\n1,1,a\n1,2,a\n0,0,a\n1,2,a\n", "force must be 0 or 1"),
+            (load_census, "stratum,count_d1,count_d0\na,1,1\na,-1,1\na,1,1\na,-1,1\n",
+             "line 3: counts must be finite"),
+            (load_survey, "race,contacts\n1,2\n0,x\n1,2\n0,x\n", "contact count 'x'"),
+        ],
+        ids=["admin", "census", "survey"],
+    )
+    def test_a_repeated_bad_row_in_a_pipe_names_its_first_line(
+        self, tmp_path, line_path, load, text, message
+    ):
+        # the pipe is read once, so its pass notes the line where each row first occurs
+        path = tmp_path / "input.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            with pytest.raises((UnparseableRowError, NegativeCountError), match=message) as excinfo:
+                load(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert line_path == []
+        assert getattr(excinfo.value, "line", 3) == 3
+
+    def test_a_survey_with_an_unread_column_takes_the_record_pass(self, tmp_path, line_path):
+        rows = ["1,1,2,a", "0,NA,1,b", "1,1,2,a", "7,1,1,a", "0,0,,b"]
+        header = "race,stop_vehicle,contacts,x"
+        plain = write(tmp_path, "plain.csv", header + "\n" + "".join(f"{r}\n" for r in rows))
+        with_id = write(
+            tmp_path, "id.csv", header + ",id\n" + "".join(f"{r},{i}\n" for i, r in enumerate(rows))
+        )
+        schema = SchemaConfig(survey=SurveySchema(stratum_columns=("x",)))
+        table, report = load_survey(with_id, schema)
+        assert line_path == []  # one distinct line per row: not worth counting
+        assert (table, report.n_loaded, report.n_dropped) == (load_survey(plain, schema)[0], 4, 1)
+        assert line_path == [True]
+        assert table.respondents == (
+            (1, None, 1, None, 2, None, "a"), (0, None, None, None, 1, None, "b"),
+            (0, None, 0, None, None, None, "b"),
+        )
+        assert table.count == (2, 1, 1)
+
+    def test_absent_survey_item_columns_load_as_missing(self, tmp_path, line_path):
+        absent = write(tmp_path, "absent.csv", "contacts,race\n3,1\n,0\n3,1\n")
+        blank = write(
+            tmp_path, "blank.csv", SURVEY_HEADER + "1,,,,3,\n0,,,,,NA\n1,,,,3,\n"
+        )
+        table, report = load_survey(absent)
+        assert table == load_survey(blank)[0]
+        assert (report.n_physical, report.n_loaded) == (3, 3)
+        assert line_path == [True, True]
+        assert table.respondents == (
+            (1, None, None, None, 3, None, "all"), (0, None, None, None, None, None, "all")
+        )
+        assert (table.count, table.n) == ((2, 1), 3)
+        assert derive_survey_distribution(table, "weighted").p1_for(None) == 1.0
 
     def test_blank_lines(self, tmp_path, monkeypatch, line_path):
         path = write(tmp_path, "admin.csv", "d,y,x\n1,1,a\n\n0,0,b\n\r\n1,1,a\n")
@@ -622,6 +687,33 @@ class TestCensusLoader:
         )
         external, _ = load_census(path)
         assert external.p1_for("p7") == 0.8
+        path = write(
+            tmp_path,
+            "census.csv",
+            "stratum,count_d1,count_d0\np7,30,20\np8,1,3\np7,30,20\n p7 ,20,0\np8,1,3\n",
+        )
+        external, report = load_census(path)
+        assert external.counts == {"p7": (80.0, 40.0), "p8": (2.0, 6.0)}
+        assert (report.n_physical, report.n_loaded) == (5, 5)
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ("p8,-1,5", NegativeCountError, "census.csv line 3: counts must be finite"),
+            ("p8,1e400,5", NegativeCountError, "census.csv line 3: counts must be finite"),
+            ("p8,1", UnparseableRowError, "line 3: expected 3 fields, got 2"),
+            ("p8,1,5,9", UnparseableRowError, "line 3: expected 3 fields, got 4"),
+            ("p8,x,5", UnparseableRowError, "line 3: counts must be decimal numbers"),
+        ],
+    )
+    def test_repeated_bad_row_names_its_first_line(self, tmp_path, bad, error, message):
+        path = write(
+            tmp_path,
+            "census.csv",
+            f"stratum,count_d1,count_d0\np7,1,5\n{bad}\np7,1,5\n{bad}\np9,-2,5\n{bad}\n",
+        )
+        with pytest.raises(error, match=message):
+            load_census(path)
 
     def test_negative_count(self, tmp_path):
         for count in ("-1", "1e400"):  # negative, and too large for a float
@@ -702,6 +794,19 @@ class TestSurveyLoader:
     def test_contacts_outside_grammar_is_unparseable(self, tmp_path, contacts):
         with pytest.raises(UnparseableRowError, match="line 3"):
             survey_from(tmp_path, f"B,0,0,0,3,1\nW,1,0,0,{contacts},1\n")
+
+    def test_repeated_bad_row_names_its_first_line(self, tmp_path):
+        body = "B,0,0,0,3,1\nW,1,0,0,x,1\nB,0,0,0,3,1\nW,1,0,0,x,1\nB,2,0,0,3,1\nW,1,0,0,x,1\n"
+        with pytest.raises(UnparseableRowError) as excinfo:
+            survey_from(tmp_path, body)
+        assert (excinfo.value.line, excinfo.value.reason) == (
+            3, "contact count 'x' is not a nonnegative integer"
+        )
+        path = tmp_path / "survey.csv"
+        schema = SchemaConfig(survey=SurveySchema(race_map={"B": 1, "W": 0}))
+        table, report = load_survey(path, schema, skip_unparseable=True)
+        assert (report.n_physical, report.n_loaded, report.n_unparseable) == (6, 2, 4)
+        assert table.count == (2,) and table.n == 2
 
     def test_contact_outliers_excluded(self, tmp_path):
         table, _ = survey_from(tmp_path, "B,0,0,0,31,1\nW,0,0,0,2,1\nB,0,0,0,30,1\n")
@@ -813,7 +918,7 @@ class TestSurveyLoader:
             load_survey(path, schema)
         assert excinfo.value.line == 3
         table, report = load_survey(path, schema, skip_unparseable=True)
-        assert table.x == ("young|f",)
+        assert table.respondents == ((1, None, None, None, None, None, "young|f"),)
         assert report.n_unparseable == 2
 
 

@@ -323,6 +323,17 @@ class TestBootstrap:
             assert (res.adjusted.hi - res.adjusted.lo) > res.adjusted.point
 
 
+#: Each survey source's SurveyRespondents and respondent rows, by id, for the row-level reference.
+SURVEY_ROWS: dict[int, tuple] = {}
+
+
+def survey_source(rows):
+    """A survey source from (race, stratum key, weight) rows, whose rows the reference can read."""
+    respondents = SurveyRespondents.from_rows(rows)
+    SURVEY_ROWS[id(respondents)] = respondents, rows  # kept alive, so the id stays its own
+    return ExternalRaceDistribution.from_survey(respondents)
+
+
 def in_scope(column, x):
     """Row mask of stratum ``x`` on an object stratum column; None keeps every row."""
     return np.ones(len(column), dtype=bool) if x is None else column == x
@@ -355,23 +366,26 @@ def multinomial_bootstrap(statistic, data, external=None, *, x=None, level=0.95,
     draws = rng.multinomial(len(d), cell_counts / len(d), size=replicates)
     externals = [external] * replicates
     if external is not None and external.respondents is not None:
-        resp = external.respondents
-        scoped = in_scope(resp.x, x)
+        _, rows = SURVEY_ROWS[id(external.respondents)]
+        resp_d, resp_x, resp_weight = (
+            np.array(column, dtype) for column, dtype in zip(zip(*rows), (np.int8, object, float))
+        )
+        scoped = in_scope(resp_x, x)
         m = int(np.sum(scoped))
         if m:
             pairs, pair_counts = np.unique(
-                np.column_stack([resp.d[scoped], resp.weight[scoped]]), axis=0, return_counts=True
+                np.column_stack([resp_d[scoped], resp_weight[scoped]]), axis=0, return_counts=True
             )
             resp_draws = rng.multinomial(m, pair_counts / m, size=replicates)
         else:
             pairs, resp_draws = np.zeros((0, 2)), np.zeros((replicates, 0), int)
         externals = []
         for counts in resp_draws:
-            drawn = SurveyRespondents(
+            drawn = SurveyRespondents.from_rows(zip(
                 np.repeat(pairs[:, 0], counts).astype(np.int8),
                 np.full(int(np.sum(counts)), label, dtype=object),
                 np.repeat(pairs[:, 1], counts),
-            )
+            ))
             externals.append(replace(
                 ExternalRaceDistribution.from_survey(drawn),
                 mix_lambda=external.mix_lambda, mix_citywide=external.mix_citywide,
@@ -423,14 +437,13 @@ class TestCountPathMatchesRowPath:
         # reference's shares of its rebuilt respondents and the bootstrap's
         # shares of the drawn cell counts agree to the bit; no respondents
         # for "b", and an undefined census share for "c"
-        respondents = SurveyRespondents.from_rows(
+        survey = survey_source(
             [(int(rng.random() < 0.35), "a", int(rng.integers(1, 25)) / 8) for _ in range(40)]
             + [(int(rng.random() < 0.8), "c", int(rng.integers(1, 25)) / 8) for _ in range(6)]
         )
         census_counts = ExternalRaceDistribution.census_from_counts(
             {"a": (30.0, 70.0), "b": (50.0, 50.0), "c": (0.0, 0.0)}
         )
-        survey = ExternalRaceDistribution.from_survey(respondents)
         externals = [
             census_counts,
             survey,
@@ -458,9 +471,7 @@ class TestCountPathMatchesRowPath:
     def test_undefined_replicates_match(self, haldane):
         # a single majority row vanishes from ~37% of resamples
         data = dataset([(1, 1, "all")] * 19 + [(0, 1, "all")])
-        survey = ExternalRaceDistribution.from_survey(
-            SurveyRespondents.from_rows([(1, "all", 1.5)] * 3 + [(0, "all", 0.25)] * 7)
-        )
+        survey = survey_source([(1, "all", 1.5)] * 3 + [(0, "all", 0.25)] * 7)
         for statistic, external in [
             (naive_risk_ratio, None),
             (crr_identified, census({"all": 0.3})),
@@ -700,6 +711,27 @@ class TestExternalDistribution:
             ExternalRaceDistribution(kind="survey-resampled", shares={"s": 0.5})
 
 
+def unique_survey_table(rows):
+    """The survey count table built by ``np.unique`` over (stratum code, race, weight) rows.
+
+    Each stratum's sorted (race, weight) cells and their counts, and the pool's under None.
+    """
+    d, x, weight = (
+        np.array(column, dtype) for column, dtype in zip(zip(*rows), (np.int8, object, float))
+    )
+    codes = {}
+    code = np.array([codes.setdefault(key, len(codes)) for key in x], dtype=np.int32)
+    cells, counts = np.unique(np.column_stack([code, d, weight]), axis=0, return_counts=True)
+    bounds = np.searchsorted(cells[:, 0], np.arange(len(codes) + 1))
+    table = {
+        key: (cells[lo:hi, 1:], counts[lo:hi])
+        for key, lo, hi in zip(codes, bounds[:-1], bounds[1:])
+    }
+    pooled, inverse = np.unique(cells[:, 1:], axis=0, return_inverse=True)
+    table[None] = (pooled, np.bincount(inverse.ravel(), counts, len(pooled)).astype(np.int64))
+    return table
+
+
 class TestDatasets:
     def test_indicators_outside_zero_one_rejected(self):
         with pytest.raises(ValueError, match="d values"):
@@ -741,13 +773,47 @@ class TestDatasets:
         d = (rng.random(n) < 0.4).astype(np.int8)
         x = np.array([f"s{k}" for k in rng.integers(0, 4, n)], dtype=object)
         weight = rng.uniform(0.1, 3.0, n)
-        respondents = SurveyRespondents(d, x, weight)
+        respondents = SurveyRespondents.from_rows(zip(d, x, weight))
         order = rng.permutation(n)
-        shuffled = SurveyRespondents(d[order], x[order], weight[order])
+        shuffled = SurveyRespondents.from_rows(zip(d[order], x[order], weight[order]))
         assert shuffled.shares_by_stratum() == respondents.shares_by_stratum()
         assert shuffled.minority_share() == respondents.minority_share()
         row_sum = np.sum(weight * d) / np.sum(weight)
         assert respondents.minority_share() == pytest.approx(row_sum, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_survey_table_matches_a_unique_over_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        # weights in eighths, zero included; stratum "z" holds only weight-0 respondents
+        rows = [
+            (int(rng.random() < 0.4), f"s{k}", int(rng.integers(0, 25)) / 8)
+            for k in rng.integers(0, 4, 300)
+        ] + [(1, "z", 0.0), (0, "z", 0.0)]
+        rows += [rows[i] for i in rng.integers(0, len(rows), 150)]  # duplicated rows
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        respondents = SurveyRespondents.from_rows(rows)
+        expected = unique_survey_table(rows)
+        assert respondents.table.keys() == expected.keys()
+        for key, (cells, counts) in expected.items():
+            got_cells, got_counts = respondents.table[key]
+            assert (got_cells.dtype, got_counts.dtype) == (cells.dtype, counts.dtype) == (
+                np.float64, np.int64
+            )
+            assert got_cells.tolist() == cells.tolist(), key
+            assert got_counts.tolist() == counts.tolist(), key
+
+        def share(cells, counts):
+            total = counts @ cells[:, 1]
+            return (counts @ (cells[:, 0] * cells[:, 1])) / total if total > 0 else None
+
+        strata = sorted(key for key in expected if key is not None)
+        assert respondents.shares_by_stratum() == {key: share(*expected[key]) for key in strata}
+        assert respondents.shares_by_stratum()["z"] is None
+        assert respondents.minority_share() == share(*expected[None])
+        for absent in ("s9", "z "):  # strata with no respondents
+            cells, counts = respondents._scope(absent)
+            assert cells.shape == (0, 2) and counts.tolist() == []
+            assert respondents._share(absent) is None
 
     def test_columns_round_trip_through_from_columns_and_concat(self):
         rows = [(1, 0, "b"), (0, 1, "a"), (0, 0, 7), (1, 1, "a"), (1, 1, "b")]
