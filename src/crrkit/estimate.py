@@ -14,18 +14,15 @@ bootstrap. Census externals are treated as fixed population quantities and
 are never resampled; survey externals are resampled respondent-by-respondent
 alongside the administrative rows.
 
-Every statistic depends only on the scope's four record counts (n1, n0, f1,
-f0) and, for the adjusted ones, the external minority share p1; each formula
-is written once, on those counts. So estimation reads only per-stratum count
-tables: records per cell 2*d + y, counted once on first use, and survey
-respondents per distinct (race, weight) cell, counted when the respondents
-are built; every survey share, point and replicate alike, is one weighted
-sum over those cells. The bootstrap supports exactly these four statistics.
-Resampling n rows with replacement and counting them is a multinomial draw
-over the cells 2*d + y, so one bootstrap call draws the counts of all its
-replicates at once from one generator (for survey sources, the respondent
-counts per (race, weight) cell after them), then evaluates the statistic on
-each replicate's counts.
+Every statistic depends only on a scope's record counts in the four cells
+2*d + y and, for the adjusted ones, the external minority share p1. Each is
+written once, as an array formula over rows of counts and shares: a point
+estimate is one row, and a bootstrap call evaluates its point (row 0) and all
+its replicates in one call. Resampling n rows with replacement and counting
+them is a multinomial draw over the four cells, so a bootstrap call draws
+every replicate's counts at once from one generator (for survey sources, the
+respondent counts per (race, weight) cell after them). Survey respondents are
+counted by (race, weight) cell, so every survey share is one weighted sum.
 """
 
 from __future__ import annotations
@@ -95,7 +92,8 @@ class AdministrativeDataset:
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[int, int, str]]) -> "AdministrativeDataset":
         d, y, x = ([row[i] for row in rows] for i in range(3))
-        return cls.from_columns(np.array(d, np.int8), np.array(y, np.int8), np.array(x, object))
+        # x stays a list: np.array(x, object) would unpack tuple keys
+        return cls.from_columns(np.array(d, np.int8), np.array(y, np.int8), x)
 
     @classmethod
     def concat(cls, parts: Sequence["AdministrativeDataset"]) -> "AdministrativeDataset":
@@ -140,11 +138,20 @@ class AdministrativeDataset:
         return sorted((key for key in self.keys if any(self._table[key])), key=str)
 
 
-def _weighted_shares(counts: np.ndarray, cells: np.ndarray) -> list[float | None]:
-    """Weighted minority share per row of counts over (race, weight) cells; None at weight 0."""
-    totals = (counts @ cells[:, 1]).tolist()
-    minority = (counts @ (cells[:, 0] * cells[:, 1])).tolist()
-    return [w1 / w if w > 0.0 else None for w1, w in zip(minority, totals)]
+def _weighted_shares(counts: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Weighted minority share per row of counts over (race, weight) cells; NaN at weight 0."""
+    totals = counts @ cells[:, 1]
+    minority = counts @ (cells[:, 0] * cells[:, 1])
+    return np.divide(minority, totals, out=np.full(len(totals), np.nan), where=totals > 0.0)
+
+
+def _shares(p1: float | None, size: int) -> np.ndarray:
+    """``size`` copies of share ``p1`` as floats, NaN for None."""
+    return np.full(size, np.nan if p1 is None else p1, dtype=float)
+
+
+def _optional(share: float) -> float | None:
+    return None if math.isnan(share) else share
 
 
 def _cell_table(counts: Mapping[tuple[int, float], int]) -> tuple[np.ndarray, np.ndarray]:
@@ -192,14 +199,15 @@ class SurveyRespondents:
 
     def _share(self, x: str | None) -> float | None:
         cells, counts = self._scope(x)
-        return _weighted_shares(counts[None, :], cells)[0]
+        return _optional(_weighted_shares(counts[None, :], cells).tolist()[0])
 
     def minority_share(self) -> float | None:
         """Weighted share of minority respondents, or None on zero total weight."""
         return self._share(None)
 
     def shares_by_stratum(self) -> dict[str, float | None]:
-        return {key: self._share(key) for key in sorted(k for k in self.table if k is not None)}
+        keys = sorted((k for k in self.table if k is not None), key=str)
+        return {key: self._share(key) for key in keys}
 
 
 @dataclass(frozen=True)
@@ -236,10 +244,7 @@ class ExternalRaceDistribution:
         cls, counts: Mapping[str, tuple[float, float]]
     ) -> "ExternalRaceDistribution":
         """Fixed distribution from per-stratum (minority, majority) population counts."""
-        shares: dict[str, float | None] = {}
-        for key, (c1, c0) in counts.items():
-            total = c1 + c0
-            shares[key] = (c1 / total) if total > 0 else None
+        shares = {key: c1 / (c1 + c0) if c1 + c0 > 0 else None for key, (c1, c0) in counts.items()}
         return cls(shares=shares, counts=dict(counts))
 
     @classmethod
@@ -263,25 +268,27 @@ class ExternalRaceDistribution:
             return next(iter(self.shares.values()))
         return None
 
-    def _mixed(self, base: float | None) -> float | None:
+    def _mixed(self, base: np.ndarray) -> np.ndarray:
+        """Shares ``base`` (NaN: none) with the mixture applied."""
         if self.mix_citywide is None:
             return base
-        lam = self.mix_lambda
-        if base is None:
-            # no local information; only the pure-citywide mixture is defined
-            return self.mix_citywide if lam == 0.0 else None
-        return lam * base + (1.0 - lam) * self.mix_citywide
+        if self.mix_lambda == 0.0:  # pure citywide: defined without a local share
+            return np.full_like(base, self.mix_citywide)
+        return self.mix_lambda * base + (1.0 - self.mix_lambda) * self.mix_citywide
 
     def p1_for(self, x: str | None) -> float | None:
         """Minority share for stratum ``x`` (None = pooled), mixture applied."""
-        return self._mixed(self._local_share(x))
+        base = self._local_share(x)
+        if self.mix_citywide is None:
+            return base  # as given: a point's error message quotes it
+        return _optional(self._mixed(_shares(base, 1)).tolist()[0])
 
     # -- bootstrap support ------------------------------------------------------
 
     def _share_draws(
         self, x: str | None, rng: np.random.Generator, replicates: int
-    ) -> list[float | None]:
-        """``replicates`` bootstrap draws of p1 for scope ``x``, mixture applied.
+    ) -> np.ndarray:
+        """``replicates`` bootstrap draws of p1 for scope ``x``, mixture applied; NaN: none.
 
         Census sources repeat their fixed share and take nothing from ``rng``.
         Survey sources draw one multinomial over the distinct (race, weight)
@@ -289,13 +296,13 @@ class ExternalRaceDistribution:
         of them counted by cell, and recompute the weighted share per draw.
         """
         if self.respondents is None:
-            return [self.p1_for(x)] * replicates
+            return _shares(self.p1_for(x), replicates)
         cells, counts = self.respondents._scope(x)
         m = int(counts.sum())
         if m == 0:
-            return [self._mixed(None)] * replicates
+            return self._mixed(_shares(None, replicates))
         draws = rng.multinomial(m, counts / m, size=replicates)
-        return [self._mixed(share) for share in _weighted_shares(draws, cells)]
+        return self._mixed(_weighted_shares(draws, cells))
 
 
 def sensitivity_mixture(
@@ -314,81 +321,100 @@ def sensitivity_mixture(
     return replace(external, mix_lambda=lam, mix_citywide=citywide_p1)
 
 
-# -- point estimators ------------------------------------------------------------
+# -- statistics -------------------------------------------------------------------
 #
-# Each statistic is written once, on the scope's counts (n1, n0, f1, f0): race
-# totals and force counts. The public functions read a scope's cell counts
-# from the dataset's table and call these; the bootstrap calls them on
-# resampled counts.
+# Each statistic is one array formula: from the totals (n1, n0, f1, f0) of k
+# count rows and their k external minority shares p1 (NaN: none) it returns
+# the k values and the (rule code, rows) checks that leave rows undefined: a
+# code is 1 + its rule's index in _RULES, whose order picks a point's error.
+_RULES = (
+    (MissingGroupError, "both race groups required in scope {x!r}: n1={n1}, n0={n0}"),
+    (ZeroDenominatorError, "majority force rate is zero in scope {x!r}"),
+    (MissingGroupError, "no administrative rows in scope {x!r}"),
+    (DegenerateOddsError, "detainment race odds degenerate in scope {x!r}: c1={c1}, c0={c0}"),
+    (DegenerateOddsError, "no external minority share for scope {x!r}"),
+    (DegenerateOddsError, "external minority share must lie strictly in (0, 1), got {p1!r}"),
+)
+BOTH_GROUPS, ZERO_MAJORITY, NO_ROWS, DEGENERATE_ODDS, NO_SHARE, SHARE_RANGE = range(1, 7)
 
-Counts = tuple[int, int, int, int]
 
-
-def _cell_totals(c00: int, c01: int, c10: int, c11: int) -> Counts:
-    """Counts (n1, n0, f1, f0) from the number of records in each cell 2*d + y."""
-    return c10 + c11, c00 + c01, c11, c01
-
-
-def _rates(counts: Counts, x: str | None, haldane: bool) -> tuple[float, float]:
-    n1, n0, f1, f0 = counts
-    if n1 == 0 or n0 == 0:
-        raise MissingGroupError(
-            f"both race groups required in scope {x!r}: n1={n1}, n0={n0}"
-        )
+def _rates(totals: tuple, haldane: bool) -> tuple[np.ndarray, np.ndarray, list]:
+    n1, n0, f1, f0 = totals
+    checks = [(BOTH_GROUPS, (n1 == 0) | (n0 == 0))]
     if haldane:
-        return (f1 + 0.5) / (n1 + 1.0), (f0 + 0.5) / (n0 + 1.0)
-    return f1 / n1, f0 / n0
+        return (f1 + 0.5) / (n1 + 1.0), (f0 + 0.5) / (n0 + 1.0), checks
+    return f1 / n1, f0 / n0, checks
 
 
-def _risk_difference(counts: Counts, p1: float | None, x: str | None, haldane: bool) -> float:
-    r1, r0 = _rates(counts, x, haldane)
-    return r1 - r0
+def _risk_difference(totals: tuple, p1: np.ndarray, haldane: bool) -> tuple[np.ndarray, list]:
+    r1, r0, checks = _rates(totals, haldane)
+    return r1 - r0, checks
 
 
-def _risk_ratio(counts: Counts, p1: float | None, x: str | None, haldane: bool) -> float:
-    r1, r0 = _rates(counts, x, haldane)
-    if r0 == 0.0:
-        raise ZeroDenominatorError(f"majority force rate is zero in scope {x!r}")
-    return r1 / r0
+def _risk_ratio(totals: tuple, p1: np.ndarray, haldane: bool) -> tuple[np.ndarray, list]:
+    r1, r0, checks = _rates(totals, haldane)
+    return r1 / r0, checks + [(ZERO_MAJORITY, r0 == 0.0)]
 
 
-def _bias_factor(counts: Counts, p1: float | None, x: str | None, haldane: bool) -> float:
-    c1 = float(counts[0])
-    c0 = float(counts[1])
-    if c1 + c0 == 0:
-        raise MissingGroupError(f"no administrative rows in scope {x!r}")
-    if haldane:
-        c1 += 0.5
-        c0 += 0.5
-    if c1 == 0.0 or c0 == 0.0:
-        raise DegenerateOddsError(
-            f"detainment race odds degenerate in scope {x!r}: c1={c1}, c0={c0}"
-        )
-    if p1 is None:
-        raise DegenerateOddsError(f"no external minority share for scope {x!r}")
-    if not 0.0 < p1 < 1.0:
-        raise DegenerateOddsError(
-            f"external minority share must lie strictly in (0, 1), got {p1!r}"
-        )
-    return (c1 * (1.0 - p1)) / (c0 * p1)
+def _bias_factor(totals: tuple, p1: np.ndarray, haldane: bool) -> tuple[np.ndarray, list]:
+    n1, n0 = totals[:2]
+    c1, c0 = (n1 + 0.5, n0 + 0.5) if haldane else (n1, n0)
+    checks = [(NO_ROWS, n1 + n0 == 0), (DEGENERATE_ODDS, (c1 == 0) | (c0 == 0))]
+    checks += [(NO_SHARE, np.isnan(p1)), (SHARE_RANGE, (p1 <= 0.0) | (p1 >= 1.0))]
+    return (c1 * (1.0 - p1)) / (c0 * p1), checks
 
 
-def _crr(counts: Counts, p1: float | None, x: str | None, haldane: bool) -> float:
-    return _risk_ratio(counts, p1, x, haldane) * _bias_factor(counts, p1, x, haldane)
+def _crr(totals: tuple, p1: np.ndarray, haldane: bool) -> tuple[np.ndarray, list]:
+    rr, checks = _risk_ratio(totals, p1, haldane)
+    bf, bf_checks = _bias_factor(totals, p1, haldane)
+    return rr * bf, checks + bf_checks
+
+
+def _evaluate(
+    formula: Callable,
+    counts: tuple[int, int, int, int],
+    p1: float | None,
+    x: str | None,
+    haldane: bool,
+    draws: np.ndarray = np.empty((0, 4), np.int64),
+    shares: np.ndarray = np.empty(0),
+) -> tuple[np.ndarray, np.ndarray]:
+    """``formula``'s values and first failing rule codes (0: none) on each count row.
+
+    Row 0, the point, is scope ``x``'s ``counts`` and share ``p1``: raises its error.
+    The ``draws`` and ``shares`` rows follow it.
+    """
+    c00, c01, c10, c11 = np.concatenate(([counts], draws)).T
+    p1s = np.concatenate(([np.nan if p1 is None else p1], shares))
+    # undefined rows divide by zero, which their codes mark; an overflow is inf, as in Python
+    with np.errstate(all="ignore"):
+        values, checks = formula((c10 + c11, c00 + c01, c11, c01), p1s, haldane)
+    codes = np.zeros(len(values), np.int8)
+    for code, failed in reversed(checks):  # the first failing rule writes last
+        codes[failed] = code
+    if codes[0]:
+        code = int(codes[0])
+        if code in (NO_SHARE, SHARE_RANGE):  # a NaN share is out of range, not missing
+            code = NO_SHARE if p1 is None else SHARE_RANGE
+        n1, n0 = counts[2] + counts[3], counts[0] + counts[1]
+        c1, c0 = (n1 + 0.5, n0 + 0.5) if haldane else (float(n1), float(n0))
+        error, message = _RULES[code - 1]
+        raise error(message.format(x=x, n1=n1, n0=n0, c1=c1, c0=c0, p1=p1))
+    return values, codes
 
 
 def naive_risk_difference(
     data: AdministrativeDataset, x: str | None = None, *, haldane: bool = False
 ) -> float:
     """Difference in record-level force rates, minority minus majority."""
-    return _risk_difference(_cell_totals(*data._scope_counts(x)), None, x, haldane)
+    return float(_evaluate(_risk_difference, data._scope_counts(x), None, x, haldane)[0][0])
 
 
 def naive_risk_ratio(
     data: AdministrativeDataset, x: str | None = None, *, haldane: bool = False
 ) -> float:
     """Ratio of record-level force rates; ignores selection into the records."""
-    return _risk_ratio(_cell_totals(*data._scope_counts(x)), None, x, haldane)
+    return float(_evaluate(_risk_ratio, data._scope_counts(x), None, x, haldane)[0][0])
 
 
 def bias_factor(
@@ -404,7 +430,8 @@ def bias_factor(
     inputs give exact output (e.g. detainment share 0.8 against encounter
     share 0.25 yields 12.0 with no rounding).
     """
-    return _bias_factor(_cell_totals(*data._scope_counts(x)), external.p1_for(x), x, haldane)
+    p1 = external.p1_for(x)
+    return float(_evaluate(_bias_factor, data._scope_counts(x), p1, x, haldane)[0][0])
 
 
 def crr_identified(
@@ -415,11 +442,12 @@ def crr_identified(
     haldane: bool = False,
 ) -> float:
     """Causal risk ratio: naive risk ratio corrected by the bias factor."""
-    return _crr(_cell_totals(*data._scope_counts(x)), external.p1_for(x), x, haldane)
+    p1 = external.p1_for(x)
+    return float(_evaluate(_crr, data._scope_counts(x), p1, x, haldane)[0][0])
 
 
-#: Count form of each built-in statistic, and whether it reads the external share.
-_COUNT_FORMS = {
+#: Array formula of each built-in statistic, and whether it reads the external share.
+_FORMULAS = {
     naive_risk_difference: (_risk_difference, False),
     naive_risk_ratio: (_risk_ratio, False),
     bias_factor: (_bias_factor, True),
@@ -435,9 +463,8 @@ class EstimateWithCI:
     """Point estimate with a percentile bootstrap interval.
 
     ``lo <= point <= hi`` is not guaranteed for skewed, tiny samples, but
-    ``lo <= hi`` always holds. Replicates that raised an undefined-estimand
-    error are counted in ``undefined_replicates`` and excluded from the
-    percentiles.
+    ``lo <= hi`` always holds. Replicates on which the statistic is undefined
+    are counted in ``undefined_replicates`` and excluded from the percentiles.
     """
 
     point: float
@@ -451,10 +478,10 @@ class EstimateWithCI:
 
 Statistic = Callable[..., float]
 
-#: Upper bound on ``replicates``: a call holds replicates x cells int64 draws,
-#: four record cells plus, for a survey source, one per distinct (race, weight)
-#: pair of the scoped respondents: at most 62 in the CLI's modes, whose
-#: weights are integer contact counts, but up to m for arbitrary float weights.
+#: Upper bound on ``replicates``: a call holds replicates x cells int64 draws (four
+#: record cells plus, for a survey source, one per distinct (race, weight) pair of
+#: the scoped respondents: at most 62 in the CLI's integer-weight modes, up to m
+#: for float weights) and a few float arrays of replicates + 1 shares and terms.
 MAX_REPLICATES = 100_000
 
 
@@ -501,18 +528,18 @@ def bootstrap(
     2*d + y (a with-replacement resample of its rows, counted); for a survey
     source it then draws every replicate's respondent counts over the
     distinct (race, weight) cells of the scoped respondents and recomputes
-    the share (census shares stay fixed and draw nothing). The point estimate
-    is computed before any draw. The result depends only on the arguments,
-    so calls reproduce in any order.
+    the share (census shares stay fixed and draw nothing). One evaluation of
+    the statistic's array formula gives the point (row 0, drawing nothing) and
+    every replicate. The result depends only on the arguments.
 
     Raises ValueError for any other statistic, a missing external, or
     ``replicates`` outside [2, MAX_REPLICATES]; TooManyUndefinedError when
     more than half the replicates are undefined.
     """
     try:
-        form, reads_share = _COUNT_FORMS[statistic]
+        formula, reads_share = _FORMULAS[statistic]
     except (KeyError, TypeError):
-        names = ", ".join(f.__name__ for f in _COUNT_FORMS)
+        names = ", ".join(f.__name__ for f in _FORMULAS)
         raise ValueError(f"bootstrap supports only the built-in statistics {names}") from None
     if reads_share and external is None:
         raise ValueError(f"{statistic.__name__} needs an external race distribution")
@@ -529,25 +556,21 @@ def bootstrap(
             raise UnknownStratumError(f"stratum {x!r} has no administrative rows")
         raise MissingGroupError("administrative dataset is empty")
 
-    point = form(_cell_totals(*counts), external.p1_for(x) if reads_share else None, x, haldane)
+    p1 = external.p1_for(x) if reads_share else None
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(n, np.array(counts) / n, size=replicates)
-    shares = external._share_draws(x, rng, replicates) if reads_share else [None] * replicates
-    values: list[float] = []
-    undefined = 0
-    for cell_counts, p1 in zip(draws.tolist(), shares):
-        try:
-            values.append(form(_cell_totals(*cell_counts), p1, x, haldane))
-        except EstimandUndefinedError:
-            undefined += 1
+    shares = external._share_draws(x, rng, replicates) if reads_share else _shares(None, replicates)
+    values, codes = _evaluate(formula, counts, p1, x, haldane, draws, shares)
+    defined = codes[1:] == 0
+    undefined = replicates - int(np.count_nonzero(defined))
     if 2 * undefined > replicates:
         raise TooManyUndefinedError(
             f"{undefined} of {replicates} bootstrap replicates were undefined"
         )
     alpha = 1.0 - level
-    lo, hi = _percentiles(values, (alpha / 2.0, 1.0 - alpha / 2.0))
+    lo, hi = _percentiles(values[1:][defined].tolist(), (alpha / 2.0, 1.0 - alpha / 2.0))
     return EstimateWithCI(
-        point=float(point),
+        point=float(values[0]),
         lo=float(lo),
         hi=float(hi),
         level=level,
@@ -600,46 +623,21 @@ def stratified_estimates(
             raise UnknownStratumError(f"strata not present in data: {unknown}")
         keys = list(strata)
 
-    sub_seeds = np.random.default_rng(seed).integers(0, 2**63, size=2 * len(keys))
+    sub_seeds = np.random.default_rng(seed).integers(0, 2**63, size=2 * len(keys)).tolist()
     results = []
-    for i, key in enumerate(keys):
-        naive = adjusted = None
-        naive_error = adjusted_error = None
+    for key, naive_seed, crr_seed in zip(keys, sub_seeds[::2], sub_seeds[1::2]):
+        options = dict(x=key, level=level, replicates=replicates, haldane=haldane)
+        naive = adjusted = naive_error = adjusted_error = None
         try:
-            naive = bootstrap(
-                naive_risk_ratio,
-                data,
-                x=key,
-                level=level,
-                replicates=replicates,
-                seed=int(sub_seeds[2 * i]),
-                haldane=haldane,
-            )
+            naive = bootstrap(naive_risk_ratio, data, seed=naive_seed, **options)
         except (EstimandUndefinedError, TooManyUndefinedError) as exc:
             naive_error = f"{type(exc).__name__}: {exc}"
         if external is None:
             adjusted_error = "external distribution not provided"
         else:
             try:
-                adjusted = bootstrap(
-                    crr_identified,
-                    data,
-                    external,
-                    x=key,
-                    level=level,
-                    replicates=replicates,
-                    seed=int(sub_seeds[2 * i + 1]),
-                    haldane=haldane,
-                )
+                adjusted = bootstrap(crr_identified, data, external, seed=crr_seed, **options)
             except (EstimandUndefinedError, TooManyUndefinedError) as exc:
                 adjusted_error = f"{type(exc).__name__}: {exc}"
-        results.append(
-            StratumResult(
-                x=key,
-                naive=naive,
-                adjusted=adjusted,
-                naive_error=naive_error,
-                adjusted_error=adjusted_error,
-            )
-        )
+        results.append(StratumResult(key, naive, adjusted, naive_error, adjusted_error))
     return results

@@ -186,6 +186,13 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "sensitivity_census.csv").read_text()
 
+    def test_estimate_haldane_b1000_golden(self, capsys, strata_inputs):
+        argv = ESTIMATE_STRATA_ARGV[:]
+        argv[argv.index("--bootstrap") + 1] = "1000"
+        code, out, _ = run(capsys, argv + ["--haldane"])
+        assert code == 0
+        assert out == (GOLDEN / "estimate_haldane_b1000.csv").read_text()
+
 
 @pytest.fixture
 def strata_inputs(tmp_path, monkeypatch):
@@ -246,6 +253,22 @@ def test_estimation_leaves_numpy_ma_unimported(strata_inputs):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr.splitlines()[-1] == "False"
+
+
+def test_undefined_replicates_leave_only_the_loader_summaries_on_stderr(strata_inputs):
+    # strata "zero" and "tiny" have undefined replicates, whose rows divide by zero;
+    # a fresh process, so no filter of the test run can hide a numpy warning
+    src = str(Path(crrkit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "crrkit.cli", *ESTIMATE_STRATA_ARGV], capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "undefined_replicates=" in done.stdout
+    assert done.stderr.splitlines() == [
+        f"{name}: {n} loaded, 0 dropped (unmapped race), 0 unparseable of {n} data rows"
+        for name, n in (("admin.csv", 125), ("census.csv", 5), ("survey.csv", 58))
+    ]
 
 
 def test_estimation_imports_only_what_it_runs(strata_inputs):

@@ -261,7 +261,7 @@ class TestBootstrap:
     def test_census_external_constant_across_replicates(self):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        assert census({"all": 0.5})._share_draws("all", rng, 20) == [0.5] * 20
+        assert census({"all": 0.5})._share_draws("all", rng, 20).tolist() == [0.5] * 20
         assert rng.bit_generator.state == state  # draws nothing from the stream
 
     def test_survey_external_varies_across_replicates(self):
@@ -519,6 +519,106 @@ class TestPercentiles:
                 assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+# The scalar form each built-in statistic had before it became one array formula:
+# the reference for its values, the order of its rules and its error messages.
+
+
+def scalar_cell_totals(c00, c01, c10, c11):
+    return c10 + c11, c00 + c01, c11, c01
+
+
+def scalar_rates(counts, x, haldane):
+    n1, n0, f1, f0 = counts
+    if n1 == 0 or n0 == 0:
+        raise MissingGroupError(
+            f"both race groups required in scope {x!r}: n1={n1}, n0={n0}"
+        )
+    if haldane:
+        return (f1 + 0.5) / (n1 + 1.0), (f0 + 0.5) / (n0 + 1.0)
+    return f1 / n1, f0 / n0
+
+
+def scalar_risk_difference(counts, p1, x, haldane):
+    r1, r0 = scalar_rates(counts, x, haldane)
+    return r1 - r0
+
+
+def scalar_risk_ratio(counts, p1, x, haldane):
+    r1, r0 = scalar_rates(counts, x, haldane)
+    if r0 == 0.0:
+        raise ZeroDenominatorError(f"majority force rate is zero in scope {x!r}")
+    return r1 / r0
+
+
+def scalar_bias_factor(counts, p1, x, haldane):
+    c1 = float(counts[0])
+    c0 = float(counts[1])
+    if c1 + c0 == 0:
+        raise MissingGroupError(f"no administrative rows in scope {x!r}")
+    if haldane:
+        c1 += 0.5
+        c0 += 0.5
+    if c1 == 0.0 or c0 == 0.0:
+        raise DegenerateOddsError(
+            f"detainment race odds degenerate in scope {x!r}: c1={c1}, c0={c0}"
+        )
+    if p1 is None:
+        raise DegenerateOddsError(f"no external minority share for scope {x!r}")
+    if not 0.0 < p1 < 1.0:
+        raise DegenerateOddsError(
+            f"external minority share must lie strictly in (0, 1), got {p1!r}"
+        )
+    return (c1 * (1.0 - p1)) / (c0 * p1)
+
+
+def scalar_crr(counts, p1, x, haldane):
+    return scalar_risk_ratio(counts, p1, x, haldane) * scalar_bias_factor(counts, p1, x, haldane)
+
+
+SCALAR_FORMS = {
+    naive_risk_difference: (scalar_risk_difference, False),
+    naive_risk_ratio: (scalar_risk_ratio, False),
+    bias_factor: (scalar_bias_factor, True),
+    crr_identified: (scalar_crr, True),
+}
+
+
+def bits_or_error(run):
+    """The exact bits of ``run()``'s float, or the type and message of the error it raised."""
+    try:
+        return float.hex(run())
+    except EstimandUndefinedError as exc:
+        return type(exc), str(exc)
+
+
+class TestPointMatchesScalarForms:
+    """Each point function equals its scalar form: the same float, or the same error."""
+
+    @given(
+        st.tuples(*[st.integers(0, 3)] * 4),
+        st.booleans(),
+        st.sampled_from([None, 0.0, 1.0, 0.3, -0.2, 1.5, 2.0**-60]),
+        st.sampled_from(["s", None]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_values_rule_order_and_messages(self, cells, haldane, share, x):
+        rows = [(cell >> 1, cell & 1, "s") for cell, n in enumerate(cells) for _ in range(n)]
+        data, external = dataset(rows), census({"s": share})
+        counts = scalar_cell_totals(*cells)
+        for statistic, (form, reads_share) in SCALAR_FORMS.items():
+            inputs = (data, external) if reads_share else (data,)
+            got = bits_or_error(lambda: statistic(*inputs, x, haldane=haldane))
+            want = bits_or_error(lambda: form(counts, share if reads_share else None, x, haldane))
+            assert got == want, statistic.__name__
+
+    def test_a_nan_share_is_out_of_range_not_missing(self):
+        data = dataset([(1, 0, "s"), (0, 0, "s")])
+        with pytest.raises(DegenerateOddsError, match=r"strictly in \(0, 1\), got nan"):
+            bias_factor(data, census({"s": math.nan}), "s")
+        with pytest.raises(DegenerateOddsError, match="no external minority share"):
+            bias_factor(data, census({"s": None}), "s")
+
+
 class TestStratified:
     @staticmethod
     def two_precinct_data(seed=97, n=40_000):
@@ -756,6 +856,21 @@ class TestDatasets:
             assert data._scope_counts(None) == (1, 1, 2, 2), dtype
             assert data._scope_counts("zz") == (0, 0, 0, 0), dtype
             assert data.strata() == ["a", "b"]
+
+    def test_tuple_stratum_keys(self):
+        # a composite stratum key is one tuple, which np.array(keys, object) would unpack
+        a, b = ("a", "b"), ("a", "c")
+        rows = [(1, 1, a), (1, 0, a), (0, 1, a), (0, 0, a), (0, 0, a), (1, 0, b), (0, 0, b)]
+        data = AdministrativeDataset.from_rows(rows)
+        assert data.strata() == [a, b]
+        assert data._scope_counts(a) == (2, 1, 1, 1)
+        assert naive_risk_ratio(data, x=a) == 1.5
+        estimate = bootstrap(naive_risk_ratio, data, x=a, replicates=5, seed=1)
+        assert estimate.point == 1.5
+        # str and tuple keys side by side, sorted by their text as strata() sorts them
+        respondents = SurveyRespondents.from_rows([(1, a, 1.0), (0, a, 1.0), (1, "z", 2.0)])
+        assert respondents.shares_by_stratum() == {a: 0.5, "z": 1.0}
+        assert list(respondents.shares_by_stratum()) == sorted([a, "z"], key=str)
 
     def test_listed_strata_are_accepted_by_bootstrap(self):
         # a non-string key is listed as stored, so bootstrap can scope to it
