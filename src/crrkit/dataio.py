@@ -21,14 +21,15 @@ the default matches the simulator's administrative export (columns d, y, x),
 so exported fixtures round-trip with no config at all.
 
 The three loaders share one reader, ``_load_rows``. It counts the file's
-rows by their values of the columns a loader reads and hands each distinct
-row to the loader's parser once, with its number of rows: one pass on
-success, with memory that grows with the distinct rows, not the rows; a
-failure re-reads the file for its line (a pipe notes each row's first line
-instead). When the loader reads every column of a regular file, the pass
-counts distinct text lines instead, unless a line holds a quote or is
-rejected by the csv module. So records, census rows and survey respondents
-are all counted at load.
+rows by their values of the columns a loader reads, then parses each
+distinct token of each of the loader's fields once into a token -> code
+table and maps the tables over the columns: one pass on success, with
+memory that grows with the distinct rows, not the rows; a failure re-reads
+the file for its line (a pipe notes each row's first line instead). When
+the loader reads every column of a regular file, the pass counts distinct
+text lines instead, unless a line holds a quote or is rejected by the csv
+module. So records, census rows and survey respondents are all counted at
+load, and the survey is held as integer-coded columns.
 Loaders are deterministic: identical bytes produce identical datasets, and
 the returned objects are immutable and freely shareable.
 """
@@ -40,10 +41,10 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -83,6 +84,9 @@ SURVEY_MODES = (
 #: Cap on reported police contacts in the weighted modes; larger counts are
 #: excluded as outliers before weighting.
 MAX_WEIGHTED_CONTACTS = 30
+
+#: Distinct rows a loader codes at a time; their csv strings are the load's working memory.
+CHUNK_ROWS = 1024
 
 POOLED_KEY = "all"
 STRATUM_SEPARATOR = "|"
@@ -252,24 +256,51 @@ def _first_line(path: str | Path, key: Callable[[list[str]], Hashable], target: 
     raise DataError(f"{path}: file changed while it was read")
 
 
+class _TokenCodes(dict):
+    """Token -> code of its parsed value (-1: it failed to parse), parsing each on first lookup.
+
+    ``values`` maps each distinct value to its code, ``failures`` each failing token to its
+    exception type.
+    """
+
+    def __init__(self, parse: Callable[[Any, int], Hashable]):
+        super().__init__()
+        self.parse, self.values, self.failures = parse, {}, {}
+
+    def __missing__(self, token: Hashable) -> int:
+        try:
+            value = self.parse(token, 0)  # line 0 stands in until a failure is located
+        except (DataError, ValueError) as exc:
+            self.failures[token] = type(exc)
+            self[token] = -1
+        else:
+            self[token] = self.values.setdefault(value, len(self.values))
+        return self[token]
+
+
 def _load_rows(
     path: str | Path,
     required: Sequence[str],
-    parse: Callable[[tuple[str, ...], int], Hashable | None],
+    fields: Sequence[tuple[int | tuple[int, ...], Callable[[Any, int], Hashable]]],
     *,
     optional: Sequence[str] = (),
     skip_unparseable: bool = False,
-) -> tuple[Counter, LoadReport]:
-    """The number of data rows of a CSV file with each parsed value, parsing each distinct row once.
+) -> tuple[list[np.ndarray], list[list], np.ndarray, LoadReport]:
+    """The loaded rows of a CSV file as coded fields, parsing each distinct token of a field once.
 
-    ``parse(values, line)`` gets a row's values of the ``required`` columns,
-    then of the ``optional`` ones ("" for an optional column the header
-    lacks), and the row's physical line number; it returns the parsed row, or
-    None for a dropped row (unmapped race). A row of the wrong width, or one
-    that ``parse`` rejects with UnparseableRowError, stops the load; with
-    ``skip_unparseable`` it is counted and skipped instead. Any other
-    DataError from ``parse`` stops the load, and so does text the csv module
-    cannot split into fields, once the rows before it are counted.
+    A row's columns are its values of the ``required`` columns, then of the
+    ``optional`` ones ("" for an optional column the header lacks). A field
+    is a column's position, or a tuple of positions whose values make one
+    token, and ``parse(token, line)``; field by field, it runs once per
+    distinct token of the rows every earlier field accepted. A row whose
+    first field parses to None is dropped (unmapped race). A row of the
+    wrong width, or whose first failing field raises UnparseableRowError,
+    stops the load; with ``skip_unparseable`` it is counted and skipped
+    instead. Any other DataError or ValueError from ``parse`` stops the
+    load, and so does text the csv module cannot split into fields, once the
+    rows before it are counted. Returns each field's codes of the loaded
+    distinct rows and the distinct values they index, the number of rows
+    each loaded row stands for, and the report.
 
     One pass counts the file's rows by key: a row's values of the columns
     read, or its width alone when that is wrong. When every header column is
@@ -278,10 +309,10 @@ def _load_rows(
     another column (its lines would all differ) or is a pipe, a data line
     holds a quote (a quoted field may span lines), or the csv module rejects
     a line. Memory grows with the distinct lines or keys, not with the rows,
-    and the parsed values come out in the order each first occurs. The first
-    failing distinct row is the file's first failing row; only then is the
-    file read again, up to that row, for its line number. A pipe cannot be
-    read again, so its pass notes the line where each key first occurs.
+    and the distinct rows are coded CHUNK_ROWS at a time, in the order each
+    first occurs. The first failing distinct row is the file's first failing
+    row; only then is the file read again, up to that row, for its line
+    number (a pipe's pass notes the line where each key first occurs).
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:  # tolerate a byte-order mark
         reader = csv.reader(handle)
@@ -303,38 +334,67 @@ def _load_rows(
             first_lines.setdefault(key, reader.line_num)
             return key
 
-        def parse_key(key: Hashable, line: int) -> Hashable | None:
-            if isinstance(key, int):
-                raise UnparseableRowError(f"expected {width} fields, got {key}", line)
-            if len(read) == 1:  # itemgetter returns a lone item bare
-                key = (key,)
-            if absent:
-                key = list(key)
-                for i in absent:  # in increasing order, so each lands at its own index
-                    key.insert(i, "")
-            return parse(tuple(key), line)
+        def code_chunk(pairs: list, start: int, tables: list, failed: dict) -> tuple:
+            """Counts, loaded and dropped masks and codes of the distinct rows from ``start``."""
+            keys, number = zip(*pairs) if pairs else ((), ())
+            n = len(keys)
+            alive = np.ones(n, dtype=bool)
+            rows = keys
+            if int in set(map(type, keys)):  # a wrong-width row's key is its width
+                rows = list(keys)
+                for i, key in enumerate(keys):
+                    if type(key) is int:
+                        failed[start + i] = (None, UnparseableRowError, key, None)
+                        alive[i] = False
+                        rows[i] = ("",) * len(read) if len(read) > 1 else ""
+            columns = (list(zip(*rows)) if len(read) > 1 else [rows]) if n else [()] * len(read)
+            for i in absent:  # in increasing order, so each lands at its own index
+                columns.insert(i, ("",) * n)
+            dropped = np.zeros(n, dtype=bool)
+            codes = []
+            for f, ((at, _), table) in enumerate(zip(fields, tables)):
+                column = columns[at] if isinstance(at, int) else (
+                    list(zip(*(columns[p] for p in at))) or [()] * n
+                )
+                code = np.full(n, -1, dtype=np.int64)
+                code[alive] = np.fromiter(
+                    map(table.__getitem__, compress(column, alive)), np.int64, int(alive.sum())
+                )
+                for i in np.flatnonzero(alive & (code < 0)).tolist():  # its token failed
+                    failed[start + i] = (f, table.failures[column[i]], keys[i], column[i])
+                alive &= code >= 0
+                if f == 0 and None in table.values:
+                    dropped = alive & (code == table.values[None])
+                    alive &= ~dropped
+                codes.append(code)
+            return np.array(number, dtype=np.int64), alive, dropped, *codes
 
-        def tally(counts: Iterable[tuple[Hashable, int]]) -> tuple[Counter, LoadReport]:
-            loaded: Counter = Counter()  # insertion order is first-occurrence order
-            dropped = unparseable = 0
-            failed = None
-            for key, count in counts:
-                try:
-                    parsed = parse_key(key, 0)  # line 0 stands in until a failure is located
-                except DataError as exc:
-                    if not (skip_unparseable and isinstance(exc, UnparseableRowError)):
-                        failed = key
-                        break
-                    unparseable += count
-                    continue
-                if parsed is None:
-                    dropped += count
-                else:
-                    loaded[parsed] += count
-            if failed is not None:  # the first failing distinct row is the file's first failing row
-                parse_key(failed, first_lines.get(failed) or _first_line(path, row_key, failed))
-            n = sum(loaded.values())
-            return loaded, LoadReport(str(path), n + dropped + unparseable, n, dropped, unparseable)
+        def tally(counts: Iterable[tuple[Hashable, int]]) -> tuple:
+            tables = [_TokenCodes(parse) for _, parse in fields]
+            failed: dict[int, tuple] = {}  # row -> (field, error type, key, token); None: width
+            counts = iter(counts)
+            chunks = iter(lambda: list(islice(counts, CHUNK_ROWS)), [])
+            parts = [code_chunk(c, i * CHUNK_ROWS, tables, failed) for i, c in enumerate(chunks)]
+            parts = parts or [code_chunk([], 0, tables, failed)]
+            number, alive, dropped, *codes = (np.concatenate(part) for part in zip(*parts))
+            stop = [
+                i for i, (_, kind, _, _) in failed.items()
+                if not (skip_unparseable and issubclass(kind, UnparseableRowError))
+            ]
+            if stop:  # the first failing distinct row is the file's first failing row
+                f, _, key, token = failed[min(stop)]
+                line = first_lines.get(key) or _first_line(path, row_key, key)
+                if f is None:
+                    raise UnparseableRowError(f"expected {width} fields, got {key}", line)
+                fields[f][1](token, line)  # raises, as it did at line 0
+            loaded, n_dropped, unparseable = (
+                int(number[which].sum()) for which in (alive, dropped, list(failed))
+            )
+            report = LoadReport(
+                str(path), loaded + n_dropped + unparseable, loaded, n_dropped, unparseable
+            )
+            codes = [code[alive] for code in codes]
+            return codes, [list(table.values) for table in tables], number[alive], report
 
         # an unread column would make every line distinct, and a pipe cannot be read twice
         if set(read) == set(range(width)) and handle.seekable():
@@ -372,19 +432,19 @@ def load_administrative(
     first occurs.
     """
     race_map = config.race_map
-
-    def parse(values: tuple[str, ...], line: int) -> tuple[int, int, str] | None:
-        d = race_map.get(values[0].strip())
-        if d is None:
-            return None
-        return d, _parse_binary(values[1], "force", line), _stratum_key(values[2:], line)
-
+    fields = [
+        (0, lambda token, line: race_map.get(token.strip())),
+        (1, lambda token, line: _parse_binary(token, "force", line)),
+        (tuple(range(2, 2 + len(config.stratum_columns))), _stratum_key),
+    ]
     required = [config.race_column, config.force_column, *config.stratum_columns]
-    loaded, report = _load_rows(path, required, parse, skip_unparseable=skip_unparseable)
-    codes: dict[str, int] = {}
-    cells = [4 * codes.setdefault(x, len(codes)) + 2 * d + y for d, y, x in loaded]
-    cell = np.repeat(np.array(cells, dtype=np.intc), list(loaded.values()))
-    return AdministrativeDataset(cell, tuple(codes)), report
+    (d, y, x), (races, forces, keys), number, report = _load_rows(
+        path, required, fields, skip_unparseable=skip_unparseable
+    )
+    cell = 4 * x + 2 * _recoded(races, d) + _recoded(forces, y)
+    cells = np.fromiter(dict.fromkeys(cell.tolist()), dtype=np.intc)  # first-occurrence order
+    rows = np.bincount(cell, number, minlength=4 * len(keys))[cells].astype(np.int64)
+    return AdministrativeDataset(np.repeat(cells, rows), tuple(keys)), report
 
 
 CENSUS_COLUMNS = ("stratum", "count_d1", "count_d0")
@@ -408,28 +468,38 @@ def load_census(path: str | Path) -> tuple[ExternalRaceDistribution, LoadReport]
             raise NegativeCountError(f"{path} line {line}: counts must be finite and nonnegative")
         return stratum, c1, c0
 
-    loaded, report = _load_rows(path, CENSUS_COLUMNS, parse)
+    (code,), (parsed,), number, report = _load_rows(path, CENSUS_COLUMNS, [((0, 1, 2), parse)])
+    rows = np.bincount(code, number, minlength=len(parsed)).astype(np.int64).tolist()
     counts: dict[str, tuple[float, float]] = {}
-    for (key, c1, c0), rows in loaded.items():  # duplicates accumulate
+    for (key, c1, c0), n in zip(parsed, rows):  # duplicates accumulate
         old1, old0 = counts.get(key, (0.0, 0.0))
-        counts[key] = (old1 + rows * c1, old0 + rows * c0)
+        counts[key] = (old1 + n * c1, old0 + n * c0)
     return ExternalRaceDistribution.census_from_counts(counts), report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurveyTable:
-    """Distinct survey respondents and the number of rows each stands for.
+    """Distinct survey rows as integer-coded columns, and the number of file rows each stands for.
 
-    A respondent is (race, stop_public, stop_vehicle, stop_other, contacts,
-    large_metro, stratum key); None marks a missing item response.
+    ``columns`` is an int64 array with one row per column: race (0/1), the
+    items stop_public, stop_vehicle, stop_other and large_metro (0/1, -1
+    when missing), contacts (-1 when missing; a count above
+    MAX_WEIGHTED_CONTACTS is held as one more than it, since every mode
+    treats those alike) and the stratum code, an index into ``keys``.
     """
 
-    respondents: tuple[tuple, ...]
-    count: tuple[int, ...]
+    columns: np.ndarray
+    keys: tuple[str, ...]
+    count: np.ndarray
 
     @property
     def n(self) -> int:
-        return sum(self.count)
+        return int(self.count.sum())
+
+
+def _recoded(values: list, code: np.ndarray) -> np.ndarray:
+    """The value that each code indexes in ``values``, as int64, with -1 for None."""
+    return np.array([-1 if v is None else v for v in values], dtype=np.int64)[code]
 
 
 def _parse_item(token: str, what: str, line: int) -> int | None:
@@ -462,26 +532,24 @@ def load_survey(
     schema = config.survey
     race_map = config.survey_race_map()
     items = ("stop_public", "stop_vehicle", "stop_other", "large_metro")
-    first_item = 1 + len(schema.stratum_columns)  # race, the stratum values, then the items
-    keys: dict[str, str] = {}  # one string per stratum key, shared by its respondents
-
-    def parse(values: tuple[str, ...], line: int) -> tuple | None:
-        d = race_map.get(values[0].strip())
-        if d is None:
-            return None
-        public, vehicle, other, metro = [
-            _parse_item(token, name, line) for token, name in zip(values[first_item:], items)
-        ]
-        contacts = _parse_count(values[-1], line)
-        key = _stratum_key(values[1:first_item], line)
-        return d, public, vehicle, other, contacts, metro, keys.setdefault(key, key)
-
+    k = len(schema.stratum_columns)  # race, the stratum values, the items, then contacts
+    fields = [
+        (0, lambda token, line: race_map.get(token.strip())),
+        *(
+            (k + 1 + i, lambda token, line, what=what: _parse_item(token, what, line))
+            for i, what in enumerate(items)
+        ),
+        (k + 5, _parse_count),
+        (tuple(range(1, k + 1)), _stratum_key),
+    ]
     required = [schema.race_column, *schema.stratum_columns]
     optional = [*(getattr(schema, f"{name}_column") for name in items), schema.contacts_column]
-    loaded, report = _load_rows(
-        path, required, parse, optional=optional, skip_unparseable=skip_unparseable
+    codes, values, number, report = _load_rows(
+        path, required, fields, optional=optional, skip_unparseable=skip_unparseable
     )
-    return SurveyTable(tuple(loaded), tuple(loaded.values())), report
+    values[5] = [None if v is None else min(v, MAX_WEIGHTED_CONTACTS + 1) for v in values[5]]
+    columns = np.stack([*(_recoded(v, code) for v, code in zip(values, codes[:6])), codes[6]])
+    return SurveyTable(columns, tuple(values[6]), number), report
 
 
 def derive_survey_distribution(
@@ -492,35 +560,44 @@ def derive_survey_distribution(
     A respondent missing any item the mode reads is excluded. Weighted modes
     use the reported contact count as the weight after removing respondents
     with more than 30 contacts. Raises EmptySubsetError when nothing usable
-    remains or the subset's total weight is zero.
+    remains or the subset's total weight is zero. The mode is a mask over the
+    table's rows, and one ``bincount`` counts the kept rows by stratum code,
+    race and weight; each scope's (race, weight) cells then come out sorted.
     """
     if mode not in SURVEY_MODES:
         raise ValueError(f"unknown survey mode {mode!r}; expected one of {SURVEY_MODES}")
 
-    weighted = mode in ("weighted", "weighted-large-metro")
-    needs_metro = mode in ("large-metro", "weighted-large-metro")
+    race, public, vehicle, other, metro, contacts, stratum = survey.columns
+    keep = np.ones(len(survey.count), dtype=bool)
+    if mode in ("large-metro", "weighted-large-metro"):
+        keep &= metro == 1
+    if mode == "mv-stop":
+        keep &= vehicle == 1
+    if mode == "stop-in-public":
+        keep &= (public >= 0) & (other >= 0) & ((public == 1) | (other == 1))
+    weights, weight = np.ones(1), np.zeros_like(contacts)  # each weight code's weight; each row's
+    if mode in ("weighted", "weighted-large-metro"):
+        keep &= (contacts >= 0) & (contacts <= MAX_WEIGHTED_CONTACTS)
+        weights, weight = np.arange(MAX_WEIGHTED_CONTACTS + 1.0), contacts
 
-    counts: Counter = Counter()
-    for respondent, count in zip(survey.respondents, survey.count):
-        race, public, vehicle, other, contacts, metro, x = respondent
-        if needs_metro and metro != 1:
-            continue
-        if mode == "mv-stop" and vehicle != 1:
-            continue
-        if mode == "stop-in-public" and (None in (public, other) or 1 not in (public, other)):
-            continue
-        weight = 1.0
-        if weighted:
-            if contacts is None or contacts > MAX_WEIGHTED_CONTACTS:
-                continue
-            weight = float(contacts)
-        counts[x, race, weight] += count
-
-    if not counts:
+    # cells in (race, weight) order, so each scope's nonzero cells are sorted
+    cells = np.column_stack([np.repeat([0.0, 1.0], len(weights)), np.tile(weights, 2)])
+    code = (stratum * 2 + race) * len(weights) + weight
+    table = np.bincount(code[keep], survey.count[keep], len(survey.keys) * len(cells))
+    table = table.astype(np.int64).reshape(len(survey.keys), len(cells))
+    pooled = table.sum(axis=0)
+    if not pooled.any():
         raise EmptySubsetError(f"survey mode {mode!r} selected no usable respondents")
-    if not any(weight for _, _, weight in counts):
+    if not pooled @ cells[:, 1]:
         raise EmptySubsetError(f"survey mode {mode!r} subset has zero total weight")
-    return ExternalRaceDistribution.from_survey(SurveyRespondents.from_counts(counts))
+
+    def scope(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        at = np.flatnonzero(counts)
+        return cells[at], counts[at]
+
+    scopes = {None: scope(pooled)}
+    scopes.update((key, scope(counts)) for key, counts in zip(survey.keys, table) if counts.any())
+    return ExternalRaceDistribution.from_survey(SurveyRespondents(scopes))
 
 
 # -- model files and artifact writers ------------------------------------------

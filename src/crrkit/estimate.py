@@ -28,7 +28,7 @@ counted by (race, weight) cell, so every survey share is one weighted sum.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -182,9 +182,9 @@ class SurveyRespondents:
     @classmethod
     def from_counts(cls, counts: Mapping[tuple[Hashable, int, float], int]) -> "SurveyRespondents":
         """Respondents from their number per (stratum key, race, weight)."""
-        scopes: dict[Hashable, Counter] = {None: Counter()}
+        scopes: defaultdict[Hashable, Counter] = defaultdict(Counter, {None: Counter()})
         for (key, d, weight), count in counts.items():
-            scopes.setdefault(key, Counter())[d, weight] += count
+            scopes[key][d, weight] += count
             scopes[None][d, weight] += count
         return cls({key: _cell_table(cells) for key, cells in scopes.items()})
 

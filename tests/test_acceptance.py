@@ -15,6 +15,7 @@ from crrkit.cli import main
 from crrkit.estimate import (
     AdministrativeDataset,
     ExternalRaceDistribution,
+    SurveyRespondents,
     bias_factor,
     bootstrap,
     crr_identified,
@@ -177,6 +178,30 @@ def test_c08_bootstrap_coverage():
         elapsed = time.perf_counter() - start
         assert 0.90 <= coverage <= 0.99, f"coverage {coverage:.3f}"
         assert elapsed < 300.0, f"coverage experiment took {elapsed:.0f}s"
+
+
+@pytest.mark.parametrize("m", [500, 5_000])
+def test_c08_survey_bootstrap_coverage(m):
+    # the interval resamples the survey respondents too, so it carries the share's sampling error
+    with criterion(8, f"intervals that resample a {m}-respondent survey cover 3.0 in [0.90, 0.99]"):
+        trials = 200
+        covered = 0
+        for child in np.random.SeedSequence([8675309, m]).spawn(trials):
+            rng = np.random.default_rng(child)
+            table = sample_encounters(TOY_MODEL, 10_000, seed=int(rng.integers(2**63)))
+            survey = sample_encounters(TOY_MODEL, m, seed=int(rng.integers(2**63)))
+            respondents = SurveyRespondents.from_rows((d, "all", 1.0) for d in survey.d.tolist())
+            estimate = bootstrap(
+                crr_identified,
+                to_administrative(table),
+                ExternalRaceDistribution.from_survey(respondents),
+                level=0.95,
+                replicates=1000,
+                seed=int(rng.integers(2**63)),
+            )
+            covered += estimate.lo <= 3.0 <= estimate.hi
+        coverage = covered / trials
+        assert 0.90 <= coverage <= 0.99, f"coverage {coverage:.3f}"
 
 
 def test_c09_sensitivity_monotonicity():

@@ -3,6 +3,8 @@
 import csv
 import io
 import os
+import re
+import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -27,13 +29,19 @@ from crrkit.dataio import (
     write_model_file,
 )
 from crrkit.errors import (
+    DataError,
     EmptySubsetError,
     InvalidModelError,
     MissingColumnError,
     NegativeCountError,
     UnparseableRowError,
 )
-from crrkit.estimate import AdministrativeDataset, naive_risk_ratio
+from crrkit.estimate import (
+    AdministrativeDataset,
+    ExternalRaceDistribution,
+    SurveyRespondents,
+    naive_risk_ratio,
+)
 from crrkit.model import STRATA, PopulationModel
 from crrkit.simulate import sample_encounters, to_administrative
 from crrkit.verify import TOY_MODEL
@@ -50,6 +58,16 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def respondents(table):
+    """A survey table's rows as (race, stop_public, stop_vehicle, stop_other, contacts,
+    large_metro, stratum key) tuples, None for a missing value, in table order."""
+    race, public, vehicle, other, metro, contacts, stratum = (
+        [None if code < 0 else code for code in column] for column in table.columns.tolist()
+    )
+    keys = [table.keys[code] for code in stratum]
+    return tuple(zip(race, public, vehicle, other, contacts, metro, keys))
 
 
 class TestAdministrativeLoader:
@@ -572,13 +590,14 @@ class TestLineCounting:
         schema = SchemaConfig(survey=SurveySchema(stratum_columns=("x",)))
         table, report = load_survey(with_id, schema)
         assert line_path == []  # one distinct line per row: not worth counting
-        assert (table, report.n_loaded, report.n_dropped) == (load_survey(plain, schema)[0], 4, 1)
+        assert (report.n_loaded, report.n_dropped) == (4, 1)
+        plain_table = load_survey(plain, schema)[0]
         assert line_path == [True]
-        assert table.respondents == (
+        assert respondents(table) == respondents(plain_table) == (
             (1, None, 1, None, 2, None, "a"), (0, None, None, None, 1, None, "b"),
             (0, None, 0, None, None, None, "b"),
         )
-        assert table.count == (2, 1, 1)
+        assert table.count.tolist() == plain_table.count.tolist() == [2, 1, 1]
 
     def test_absent_survey_item_columns_load_as_missing(self, tmp_path, line_path):
         absent = write(tmp_path, "absent.csv", "contacts,race\n3,1\n,0\n3,1\n")
@@ -586,13 +605,14 @@ class TestLineCounting:
             tmp_path, "blank.csv", SURVEY_HEADER + "1,,,,3,\n0,,,,,NA\n1,,,,3,\n"
         )
         table, report = load_survey(absent)
-        assert table == load_survey(blank)[0]
+        blank_table = load_survey(blank)[0]
         assert (report.n_physical, report.n_loaded) == (3, 3)
         assert line_path == [True, True]
-        assert table.respondents == (
+        assert respondents(table) == respondents(blank_table) == (
             (1, None, None, None, 3, None, "all"), (0, None, None, None, None, None, "all")
         )
-        assert (table.count, table.n) == ((2, 1), 3)
+        assert table.count.tolist() == blank_table.count.tolist() == [2, 1]
+        assert table.n == 3
         assert derive_survey_distribution(table, "weighted").p1_for(None) == 1.0
 
     def test_blank_lines(self, tmp_path, monkeypatch, line_path):
@@ -806,7 +826,16 @@ class TestSurveyLoader:
         schema = SchemaConfig(survey=SurveySchema(race_map={"B": 1, "W": 0}))
         table, report = load_survey(path, schema, skip_unparseable=True)
         assert (report.n_physical, report.n_loaded, report.n_unparseable) == (6, 2, 4)
-        assert table.count == (2,) and table.n == 2
+        assert table.count.tolist() == [2] and table.n == 2
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+    def test_only_the_first_failing_row_raises(self, tmp_path):
+        # int() raises ValueError on a count past the digit limit, as the first failing row only
+        huge = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(UnparseableRowError, match="line 2: stop_public must be 0 or 1"):
+            survey_from(tmp_path, f"B,2,0,0,3,1\nW,0,0,0,{huge},1\nB,2,0,0,3,1\n")
+        with pytest.raises(ValueError, match="digits"):
+            survey_from(tmp_path, f"W,0,0,0,{huge},1\nB,2,0,0,3,1\n")
 
     def test_contact_outliers_excluded(self, tmp_path):
         table, _ = survey_from(tmp_path, "B,0,0,0,31,1\nW,0,0,0,2,1\nB,0,0,0,30,1\n")
@@ -918,8 +947,366 @@ class TestSurveyLoader:
             load_survey(path, schema)
         assert excinfo.value.line == 3
         table, report = load_survey(path, schema, skip_unparseable=True)
-        assert table.respondents == ((1, None, None, None, None, None, "young|f"),)
+        assert respondents(table) == ((1, None, None, None, None, None, "young|f"),)
         assert report.n_unparseable == 2
+
+
+# -- the row-wise parsers of the loaders before the coded-field protocol, as the reference --
+
+
+def _ref_stratum_key(values, line):
+    if len(values) < 2:
+        return values[0].strip() if values else "all"
+    values = [v.strip() for v in values]
+    if any("|" in v for v in values):
+        raise UnparseableRowError(
+            "stratum value contains '|', which joins the stratum columns", line
+        )
+    return "|".join(values)
+
+
+def _ref_parse_binary(token, what, line):
+    token = token.strip()
+    if token in ("0", "1"):
+        return int(token)
+    raise UnparseableRowError(f"{what} must be 0 or 1, got {token!r}", line)
+
+
+def _ref_parse_item(token, what, line):
+    token = token.strip()
+    if token in dataio.ITEM_VALUES:
+        return dataio.ITEM_VALUES[token]
+    raise UnparseableRowError(f"{what} must be 0 or 1, got {token!r}", line)
+
+
+def _ref_parse_count(token, line):
+    token = token.strip()
+    if token in dataio.MISSING_TOKENS:
+        return None
+    if not (token.isascii() and token.isdigit()):
+        raise UnparseableRowError(f"contact count {token!r} is not a nonnegative integer", line)
+    return int(token)
+
+
+def _ref_admin_parse(config):
+    def parse(values, line):
+        d = config.race_map.get(values[0].strip())
+        if d is None:
+            return None
+        return d, _ref_parse_binary(values[1], "force", line), _ref_stratum_key(values[2:], line)
+
+    return parse
+
+
+def _ref_census_parse(path):
+    def parse(values, line):
+        stratum, *tokens = [value.strip() for value in values]
+        if not all(re.fullmatch(r"-?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?", t) for t in tokens):
+            raise UnparseableRowError(f"counts must be decimal numbers, got {tokens}", line)
+        c1, c0 = map(float, tokens)
+        if not (np.isfinite(c1) and np.isfinite(c0)) or c1 < 0 or c0 < 0:
+            raise NegativeCountError(f"{path} line {line}: counts must be finite and nonnegative")
+        return stratum, c1, c0
+
+    return parse
+
+
+def _ref_survey_parse(config):
+    schema = config.survey
+    race_map = config.survey_race_map()
+    items = ("stop_public", "stop_vehicle", "stop_other", "large_metro")
+    first_item = 1 + len(schema.stratum_columns)
+
+    def parse(values, line):
+        d = race_map.get(values[0].strip())
+        if d is None:
+            return None
+        public, vehicle, other, metro = [
+            _ref_parse_item(token, name, line) for token, name in zip(values[first_item:], items)
+        ]
+        contacts = _ref_parse_count(values[-1], line)
+        key = _ref_stratum_key(values[1:first_item], line)
+        return d, public, vehicle, other, contacts, metro, key
+
+    return parse
+
+
+def rowwise_load(path, required, parse, optional=(), skip=False):
+    """The loaders' rules one csv record at a time, in file order: the parsed rows counted
+    in first-occurrence order and the LoadReport fields, or the error the load raises."""
+    loaded, dropped, unparseable = Counter(), 0, 0
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise MissingColumnError("empty")
+            indices = {name.strip(): i for i, name in enumerate(header)}
+            if any(column not in indices for column in required):
+                raise MissingColumnError("missing")
+            positions = [indices.get(column) for column in (*required, *optional)]
+            for row in reader:
+                line = reader.line_num
+                try:
+                    if len(row) != len(header):
+                        raise UnparseableRowError(
+                            f"expected {len(header)} fields, got {len(row)}", line
+                        )
+                    parsed = parse(tuple("" if p is None else row[p] for p in positions), line)
+                except UnparseableRowError:
+                    if not skip:
+                        raise
+                    unparseable += 1
+                    continue
+                if parsed is None:
+                    dropped += 1
+                else:
+                    loaded[parsed] += 1
+        except csv.Error as exc:
+            raise UnparseableRowError(str(exc), reader.line_num) from exc
+    n = sum(loaded.values())
+    return loaded, (n + dropped + unparseable, n, dropped, unparseable)
+
+
+def rowwise_survey_distribution(loaded, mode):
+    """The survey mode applied respondent by respondent, as before the array masks."""
+    counts = Counter()
+    for (race, public, vehicle, other, contacts, metro, x), count in loaded.items():
+        if mode in ("large-metro", "weighted-large-metro") and metro != 1:
+            continue
+        if mode == "mv-stop" and vehicle != 1:
+            continue
+        if mode == "stop-in-public" and (None in (public, other) or 1 not in (public, other)):
+            continue
+        weight = 1.0
+        if mode in ("weighted", "weighted-large-metro"):
+            if contacts is None or contacts > dataio.MAX_WEIGHTED_CONTACTS:
+                continue
+            weight = float(contacts)
+        counts[x, race, weight] += count
+    if not counts:
+        raise EmptySubsetError(f"survey mode {mode!r} selected no usable respondents")
+    if not any(weight for _, _, weight in counts):
+        raise EmptySubsetError(f"survey mode {mode!r} subset has zero total weight")
+    return ExternalRaceDistribution.from_survey(SurveyRespondents.from_counts(counts))
+
+
+def outcome(load):
+    """What ``load()`` returns, or the type, message and line of the DataError it raises."""
+    try:
+        return load()
+    except MissingColumnError:
+        return MissingColumnError
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def external_fields(external):
+    respondents = external.respondents
+    table = None if respondents is None else {
+        key: (cells.tolist(), counts.tolist(), cells.dtype, counts.dtype)
+        for key, (cells, counts) in respondents.table.items()
+    }
+    counts = None if external.counts is None else list(external.counts.items())
+    return list(external.shares.items()), counts, table
+
+
+#: Tokens per column kind, valid and not, for the differential loader test; the first three
+#: are valid, and a row picks among them half the time.
+TOKENS = {
+    "race": ["B", "W", "O", " B", "W ", ""],
+    "binary": ["0", "1", " 1", "2", "x", ""],
+    "item": ["0", "1", " 1", "NA", "", "N/A", "na", "2", "x"],
+    "contacts": ["3", "31", " 30", "0", "45", "", "NA", "-1", "+3", "1_0", "x", "٣"],
+    "stratum": ["a", "b", " a", "a|b", "", "x\ny"],
+    "count": ["0", "3", "1.5", "1e+02", "0.1", " 2", "-1", "nan", "1_0", "x", ""],
+}
+SURVEY_ITEMS = ("stop_public", "stop_vehicle", "stop_other", "large_metro")
+
+
+class TestCodedFieldsMatchRowWiseParse:
+    """Each loader's coded fields give what its row-wise parse gave, or the same error."""
+
+    @settings(
+        max_examples=400,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        kind=st.sampled_from(["survey", "admin", "census"]),
+        rows=st.lists(  # each row: its width less the header's, and one token pick per column
+            st.tuples(
+                st.sampled_from([0] * 10 + [-1, 1]),
+                st.lists(st.integers(0, 2) | st.integers(0, 11), min_size=9, max_size=9),
+            ),
+            max_size=30,
+        ),
+        repeat=st.integers(1, 3),  # each row written this many times over
+        strata=st.sampled_from([(), ("s",), ("s", "t")]),
+        present=st.lists(st.booleans(), min_size=5, max_size=5),  # survey optional columns
+        extra=st.booleans(),  # an unread id column, so the csv record pass reads the file
+        quoted=st.booleans(),  # every field quoted, so the csv record pass reads the file
+        line_ends=st.lists(st.sampled_from(["\r\n", "\n"]), min_size=1, max_size=2),
+        long_field=st.sampled_from([None] * 6 + [0, 3, 12, 40]),
+        skip=st.booleans(),
+        chunk=st.sampled_from([1, 4, dataio.CHUNK_ROWS]),  # distinct rows coded at a time
+    )
+    @example(  # contact counts over the weighted modes' cap, loaded
+        kind="survey", rows=[(0, [0] * 5 + [1] + [0] * 3), (0, [1] * 5 + [4] + [0] * 3),
+                             (0, [0] * 5 + [2] + [0] * 3)],
+        repeat=1, strata=(), present=[True] * 5, extra=False, quoted=False, line_ends=["\n"],
+        long_field=None, skip=False, chunk=dataio.CHUNK_ROWS,
+    )
+    @example(  # an unmapped race with a bad item is dropped, not an error
+        kind="survey", rows=[(0, [2, 8] + [0] * 7), (0, [0] * 9)], repeat=1, strata=(),
+        present=[True] * 5, extra=False, quoted=False, line_ends=["\n"], long_field=None,
+        skip=False, chunk=1,
+    )
+    @example(  # a "|" in one of two stratum values
+        kind="survey", rows=[(0, [0, 0, 0] + [0] * 6), (0, [1, 3, 0] + [0] * 6)], repeat=2,
+        strata=("s", "t"), present=[False, True, False, True, True], extra=False, quoted=False,
+        line_ends=["\r\n", "\n"], long_field=None, skip=False, chunk=4,
+    )
+    def test_same_table_report_or_error(
+        self, tmp_path, monkeypatch, kind, rows, repeat, strata, present, extra, quoted,
+        line_ends, long_field, skip, chunk,
+    ):
+        survey_columns = [
+            ("race", "race"), *((s, "stratum") for s in strata),
+            *((name, "item") for name, keep in zip(SURVEY_ITEMS, present) if keep),
+            *((("contacts", "contacts"),) if present[4] else ()),
+        ]
+        columns = {
+            "survey": survey_columns,
+            "admin": [("race", "race"), ("force", "binary"), *((s, "stratum") for s in strata)],
+            "census": [("stratum", "stratum"), ("count_d1", "count"), ("count_d0", "count")],
+        }[kind] + ([("id", "stratum")] if extra else [])
+        handle = io.StringIO()
+        writer = csv.writer(
+            handle, lineterminator="\n", quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL
+        )
+        writer.writerow([name for name, _ in columns])
+        for _ in range(repeat):
+            for delta, picks in rows:
+                values = [TOKENS[k][i % len(TOKENS[k])] for (_, k), i in zip(columns, picks)]
+                writer.writerow((values + ["1"] * 9)[: len(columns) + delta])
+        lines = handle.getvalue().split("\n")[:-1]  # a "x\ny" field spans two of them
+        if long_field is not None:  # text the csv module rejects, somewhere among the rows
+            lines.insert(min(long_field, len(lines)), "B,1," + "z" * 100)
+        text = "".join(line + line_ends[i % len(line_ends)] for i, line in enumerate(lines))
+        path = write(tmp_path, f"{kind}.csv", text)
+
+        if kind == "survey":
+            config = SchemaConfig(
+                survey=SurveySchema(race_map={"B": 1, "W": 0}, stratum_columns=strata)
+            )
+            optional = [*SURVEY_ITEMS, "contacts"]
+            required, parse = ["race", *strata], _ref_survey_parse(config)
+            load = lambda: load_survey(path, config, skip_unparseable=skip)  # noqa: E731
+        elif kind == "admin":
+            config = SchemaConfig(
+                race_column="race", race_map={"B": 1, "W": 0}, force_column="force",
+                stratum_columns=strata,
+            )
+            optional = []
+            required, parse = ["race", "force", *strata], _ref_admin_parse(config)
+            load = lambda: load_administrative(path, config, skip_unparseable=skip)  # noqa: E731
+        else:
+            optional, skip = [], False
+            required, parse = list(dataio.CENSUS_COLUMNS), _ref_census_parse(path)
+            load = lambda: load_census(path)  # noqa: E731
+
+        limit = csv.field_size_limit(50)
+        try:
+            expected = outcome(lambda: rowwise_load(path, required, parse, optional, skip))
+            with monkeypatch.context() as patch:
+                patch.setattr(dataio, "CHUNK_ROWS", chunk)
+                got = outcome(load)
+        finally:
+            csv.field_size_limit(limit)
+        if not isinstance(expected, tuple) or isinstance(expected[0], type):  # an error
+            assert got == expected
+            return
+        loaded, report_fields = expected
+        result, report = got
+        assert (report.n_physical, report.n_loaded, report.n_dropped, report.n_unparseable) == (
+            report_fields
+        )
+        if kind == "admin":
+            codes = {}
+            cells = [4 * codes.setdefault(x, len(codes)) + 2 * d + y for d, y, x in loaded]
+            assert result.cell.tolist() == np.repeat(cells, list(loaded.values())).tolist()
+            assert result.keys == tuple(codes)
+        elif kind == "census":
+            counts = {}
+            for (key, c1, c0), n in loaded.items():
+                old1, old0 = counts.get(key, (0.0, 0.0))
+                counts[key] = (old1 + n * c1, old0 + n * c0)
+            assert external_fields(result) == external_fields(
+                ExternalRaceDistribution.census_from_counts(counts)
+            )
+        else:
+            cap = dataio.MAX_WEIGHTED_CONTACTS + 1  # the table holds larger counts as this
+            held, want = Counter(), Counter()
+            for respondent, n in zip(respondents(result), result.count.tolist()):
+                held[respondent] += n
+            for r, n in loaded.items():
+                want[(*r[:4], None if r[4] is None else min(r[4], cap), *r[5:])] += n
+            assert held == want
+            for mode in dataio.SURVEY_MODES:
+                want = outcome(lambda: rowwise_survey_distribution(loaded, mode))
+                have = outcome(lambda: derive_survey_distribution(result, mode))
+                if isinstance(want, tuple):
+                    assert have == want
+                else:
+                    assert external_fields(have) == external_fields(want)
+
+
+class TestParseOnce:
+    def test_each_column_parses_each_distinct_token_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(16)
+        columns = {
+            "race": ["B", "W", "O"],
+            **dict.fromkeys(SURVEY_ITEMS, ["0", "1", "NA", ""]),
+            "contacts": [str(c) for c in range(41)] + [""],
+            "x": [f"s{i:02d}" for i in range(50)],
+            "t": ["u", "v"],
+        }
+        body = "".join(
+            ",".join(column[i] for column, i in zip(columns.values(), picks)) + "\n"
+            for picks in zip(*(rng.integers(0, len(c), 5000) for c in columns.values()))
+        )
+        path = write(tmp_path, "survey.csv", ",".join(columns) + "\n" + body)
+        calls = Counter()
+
+        class RaceMap(dict):
+            def get(self, token, default=None):
+                calls["race", token] += 1
+                return super().get(token, default)
+
+        def counted(name, parse, column_of):
+            def spy(*args):
+                calls[name, column_of(args)] += 1
+                return parse(*args)
+
+            monkeypatch.setattr(dataio, name, spy)
+
+        counted("_parse_item", dataio._parse_item, lambda args: (args[1], args[0]))
+        counted("_parse_count", dataio._parse_count, lambda args: args[0])
+        counted("_stratum_key", dataio._stratum_key, lambda args: tuple(args[0]))
+        schema = SchemaConfig(
+            survey=SurveySchema(race_map=RaceMap(B=1, W=0), stratum_columns=("x", "t"))
+        )
+        table, report = load_survey(path, schema)
+        assert (report.n_physical, report.n_loaded + report.n_dropped) == (5000, 5000)
+        assert max(calls.values()) == 1  # at most once per distinct token of a column
+        assert {name for name, _ in calls} == {
+            "race", "_parse_item", "_parse_count", "_stratum_key"
+        }
+        assert sum(name == "_stratum_key" for name, _ in calls) == 100
+        assert table.n == report.n_loaded
 
 
 class TestRoundTrips:
