@@ -12,14 +12,15 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import dataio, report as report_mod
+from . import report as report_mod
 from .errors import (
     CrrKitError,
     DataError,
@@ -29,22 +30,26 @@ from .errors import (
     ZeroDenominatorError,
     ZeroMassError,
 )
-from .estimate import (
-    MAX_REPLICATES,
-    AdministrativeDataset,
-    ExternalRaceDistribution,
-    Statistic,
-    bias_factor,
-    bootstrap,
-    crr_identified,
-    naive_risk_difference,
-    naive_risk_ratio,
-    sensitivity_mixture,
-)
-from .estimate import stratified_estimates  # noqa: F401  benchmarks/tracing.py patches this name
-from .report import Report, ReportRow, render
+from .report import SURVEY_MODES, Report, ReportRow, render
 
-# model, simulate and verify are imported by the subcommands that run them
+if TYPE_CHECKING:  # the commands import dataio, estimate, model, simulate and verify
+    from .dataio import LoadReport
+    from .estimate import AdministrativeDataset, ExternalRaceDistribution, Statistic
+
+
+#: The module each name comes from, imported when the name is read (PEP 562). The commands
+#: call these names through this module, so a name patched here, as benchmarks/tracing.py
+#: patches all three, is the one called, and otherwise that module's current function is.
+_LAZY_NAMES = {
+    "bootstrap": "estimate", "stratified_estimates": "estimate", "run_verification": "verify"
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{_LAZY_NAMES[name]}"), name)
+
 
 #: Default RNG seed for all commands, echoed in every report header.
 DEFAULT_SEED = 1729
@@ -119,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--survey", help="survey microdata CSV")
     p.add_argument(
         "--survey-mode",
-        choices=dataio.SURVEY_MODES,
+        choices=SURVEY_MODES,
         help="survey subset/weighting rule (default all)",
     )
 
@@ -204,6 +209,7 @@ def _note(text: str) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import dataio
     from .simulate import ORACLE_FIELDS, oracle_estimands, sample_encounters, to_administrative
 
     _require(args, "model_file", "out_dir")
@@ -241,6 +247,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimands(args: argparse.Namespace) -> int:
+    from . import dataio
     from .model import Estimand, crr_true, estimand_value, pie_pde
 
     _require(args, "model_file")
@@ -276,8 +283,10 @@ def cmd_estimands(args: argparse.Namespace) -> int:
 
 def _load_inputs(
     args: argparse.Namespace, config: dict
-) -> tuple[AdministrativeDataset, dataio.LoadReport, list[tuple[str, ExternalRaceDistribution]]]:
+) -> tuple[AdministrativeDataset, LoadReport, list[tuple[str, ExternalRaceDistribution]]]:
     """The admin records and the labelled external sources: census, then survey-<mode>."""
+    from . import dataio
+
     schema = dataio.SchemaConfig.from_dict(config.get("schema"))  # malformed: ValueError, exit 2
     data, admin_rep = dataio.load_administrative(args.admin, schema)
     _note(admin_rep.summary())
@@ -325,8 +334,11 @@ def _add_rows(
     rep: Report, data: AdministrativeDataset, requests: list[_Request], args: argparse.Namespace
 ) -> None:
     """Bootstrap each request into one row; an undefined estimate becomes an undefined row."""
+    from .dataio import POOLED_KEY
+
+    bootstrap = sys.modules[__name__].bootstrap  # see _LAZY_NAMES
     for estimand, flags, statistic, external, x, seed in requests:
-        stratum = dataio.POOLED_KEY if x is None else x
+        stratum = POOLED_KEY if x is None else x
         if args.haldane:
             flags += ("haldane",)
         try:
@@ -350,6 +362,8 @@ def _add_rows(
 
 
 def cmd_estimate(args: argparse.Namespace, config: dict) -> int:
+    from .estimate import bias_factor, crr_identified, naive_risk_difference, naive_risk_ratio
+
     _require(args, "admin")
     data, load_rep, externals = _load_inputs(args, config)
     strata = _parse_strata(args, data)
@@ -398,6 +412,8 @@ def cmd_estimate(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_sensitivity(args: argparse.Namespace, config: dict) -> int:
+    from .estimate import crr_identified, sensitivity_mixture
+
     _require(args, "admin", "census", "lam", "citywide_p1")
     data, _, [(_, external)] = _load_inputs(args, config)
     mixed = sensitivity_mixture(external, args.citywide_p1, args.lam)
@@ -424,14 +440,8 @@ def cmd_sensitivity(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def run_verification(**kwargs) -> list:
-    """``verify.run_verification``, with the verify module imported on the first call."""
-    from . import verify
-
-    return verify.run_verification(**kwargs)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
+    run_verification = sys.modules[__name__].run_verification  # see _LAZY_NAMES
     results = run_verification(seed=args.seed, draws=args.draws, oracle_n=args.oracle_n)
     passed = sum(r.passed for r in results)
     if args.format == "json-lines":
@@ -467,11 +477,14 @@ def main(argv: list[str] | None = None) -> int:
                 raise DataError(f"{flag} must be an integer from 1 to {MAX_SIZE}, got {size}")
         replicates, level = getattr(args, "bootstrap", None), getattr(args, "level", None)
         # bootstrap would reject these only when a stratum has rows, and then name no flag
-        if replicates is not None and not 2 <= replicates <= MAX_REPLICATES:
-            raise DataError(
-                f"--bootstrap must be at least 2 and at most {MAX_REPLICATES} replicates, "
-                f"got {replicates}"
-            )
+        if replicates is not None:
+            from .estimate import MAX_REPLICATES
+
+            if not 2 <= replicates <= MAX_REPLICATES:
+                raise DataError(
+                    f"--bootstrap must be at least 2 and at most {MAX_REPLICATES} replicates, "
+                    f"got {replicates}"
+                )
         if level is not None and not 0.0 < level < 1.0:  # NaN fails too
             raise DataError(f"--level must lie strictly between 0 and 1, got {level}")
         if args.subcommand == "simulate":

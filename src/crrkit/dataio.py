@@ -60,6 +60,7 @@ from .estimate import (
     ExternalRaceDistribution,
     SurveyRespondents,
 )
+from .report import SURVEY_MODES
 
 if TYPE_CHECKING:  # model and simulate load only when a function below needs them
     from .model import PopulationModel
@@ -70,16 +71,6 @@ MISSING_TOKENS = ("", "NA", "na", "N/A")
 
 #: The value of each survey item token that parses: 0, 1, or None for a missing value.
 ITEM_VALUES = {"0": 0, "1": 1, **dict.fromkeys(MISSING_TOKENS)}
-
-#: Survey subset modes, named after the respondent rule they apply.
-SURVEY_MODES = (
-    "all",
-    "mv-stop",
-    "stop-in-public",
-    "large-metro",
-    "weighted",
-    "weighted-large-metro",
-)
 
 #: Cap on reported police contacts in the weighted modes; larger counts are
 #: excluded as outliers before weighting.
@@ -639,19 +630,12 @@ def _write_csv(
 
 
 def write_encounters(table: EncounterTable, path: str | Path) -> None:
-    """Write the full potential-outcome table as CSV (debugging aid)."""
+    """Write the full potential-outcome table as CSV (debugging aid), a line per cell code."""
     from .model import STRATA
+    from .simulate import cell_values
 
-    binary = (table.d, table.m0, table.m1, table.y01, table.y11, table.m, table.y)
-    code = table.s.astype(np.int64)  # row code: s, then one bit per 0/1 column
-    for column in binary:
-        code = 2 * code + column
-
-    def row_of(c: int) -> tuple:
-        d, m0, m1, y01, y11, m, y = (c >> shift & 1 for shift in range(6, -1, -1))
-        return d, STRATA[c >> 7], m0, m1, y01, y11, m, y, table.x
-
-    _write_csv(path, ENCOUNTER_COLUMNS, code, row_of)
+    rows = [(d, STRATA[s], *rest, table.x) for d, s, *rest in cell_values(*ENCOUNTER_COLUMNS[:-1])]
+    _write_csv(path, ENCOUNTER_COLUMNS, table.code, rows.__getitem__)
 
 
 def write_administrative(dataset: AdministrativeDataset, path: str | Path) -> None:

@@ -19,6 +19,12 @@ SCHEMA_VERSION = "2"
 #: Explicit token for values that could not be computed.
 UNDEFINED = "undefined"
 
+#: Survey subset modes, named after the respondent rule they apply. dataio applies them and a
+#: report labels a survey source survey-<mode>; the CLI's parser reads them without dataio.
+SURVEY_MODES = (
+    "all", "mv-stop", "stop-in-public", "large-metro", "weighted", "weighted-large-metro"
+)
+
 ROW_FIELDS = ("stratum", "estimand", "point", "lo", "hi", "flags")
 
 

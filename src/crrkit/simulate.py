@@ -2,10 +2,11 @@
 
 Sampling follows the model's independent-error structure: race, principal
 stratum and the two force counterfactuals are drawn independently, then the
-observed detainment and force columns are filled in by consistency. Every
+observed detainment and force columns follow by consistency: a table holds
+each encounter as one int8 cell code and reads every column off it. Every
 estimand the closed-form module computes can therefore be checked here by
 direct averaging over the realized rows, with no model formulas involved;
-the oracle averages them through the counts of their 0/1 cells.
+the oracle averages them through the row counts of the 32 cell codes.
 
 Randomness comes from one numpy PCG64 generator, ``default_rng(seed)``,
 which draws the columns d, s, y01 and y11 in that order, so results are
@@ -18,36 +19,55 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .estimate import AdministrativeDataset, ExternalRaceDistribution
 from .model import PopulationModel
+
+if TYPE_CHECKING:  # estimate loads only when a projection below runs, so verify skips it
+    from .estimate import AdministrativeDataset, ExternalRaceDistribution
+
+#: Number of distinct cell codes: d and y01, y11 take one bit each, s two.
+CELLS = 32
 
 
 @dataclass(frozen=True)
 class EncounterTable:
-    """Columnar table of simulated encounters with their potential outcomes.
+    """Table of simulated encounters with their potential outcomes.
 
-    Columns are int8 arrays: race d, stratum code s (0=al, 1=mi, 2=ma, 3=ne),
-    detainment counterfactuals m0/m1, force counterfactuals y01/y11 (force if
-    stopped, by race), observed detainment m and observed force y. ``x`` is
-    the covariate-cell label shared by all rows; one table is one cell.
+    ``code`` holds one int8 cell code per encounter, ``d | s << 1 | y01 << 3 |
+    y11 << 4``: race d, stratum code s (0=al, 1=mi, 2=ma, 3=ne) and the force
+    counterfactuals y01/y11 (force if stopped, by race). Those columns, the
+    detainment counterfactuals m0/m1, observed detainment m and observed force
+    y are read-only int8 arrays read off the code on each access. A code outside
+    0..31, or not of an integer dtype, raises ValueError. ``x`` is the
+    covariate-cell label shared by all rows; one table is one cell.
     """
 
-    d: np.ndarray
-    s: np.ndarray
-    m0: np.ndarray
-    m1: np.ndarray
-    y01: np.ndarray
-    y11: np.ndarray
-    m: np.ndarray
-    y: np.ndarray
+    code: np.ndarray
     x: str
 
-    @property
-    def n(self) -> int:
-        return len(self.d)
+    def __post_init__(self) -> None:
+        code = self.code
+        if code.dtype.kind not in "biu" or (code.size and not 0 <= code.min() <= code.max() < CELLS):
+            raise ValueError(f"code must hold only cell codes 0 to {CELLS - 1}")
+
+    n = property(lambda self: len(self.code))
+    d = property(lambda self: self.code & 1)
+    s = property(lambda self: self.code >> 1 & 3)
+    y01 = property(lambda self: self.code >> 3 & 1)
+    y11 = property(lambda self: self.code >> 4 & 1)
+    m0 = property(lambda self: ((self.s & 1) == 0).view(np.int8))  # stopped as majority: al, ma
+    m1 = property(lambda self: (self.s < 2).view(np.int8))  # stopped as minority: al, mi
+    m = property(lambda self: np.where(self.d == 1, self.m1, self.m0))
+    y = property(lambda self: self.m & np.where(self.d == 1, self.y11, self.y01))
+
+
+def cell_values(*columns: str) -> list[tuple[int, ...]]:
+    """The values of ``columns`` in each cell, indexed by cell code."""
+    cells = EncounterTable(np.arange(CELLS, dtype=np.int8), "")
+    return list(zip(*(getattr(cells, name).tolist() for name in columns)))
 
 
 def sample_encounters(model: PopulationModel, n: int, seed: int, *, x: str = "all") -> EncounterTable:
@@ -58,27 +78,24 @@ def sample_encounters(model: PopulationModel, n: int, seed: int, *, x: str = "al
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     # fixed draw order (d, s, y01, y11) is part of the reproducibility contract;
-    # each 0/1 column is a comparison's bool array viewed as int8, not copied
-    minority = rng.random(n) < model.p_d
+    # each comparison's bool array is viewed as int8 and shifted into its bits of the code
+    code = (rng.random(n) < model.p_d).view(np.int8)
     u = rng.random(n)
     # s counts the stratum cuts at or below u, as searchsorted(cuts, u, side="right")
-    s = (u >= model.pi_al).view(np.int8)
-    s += u >= model.pi_al + model.pi_mi
-    s += u >= model.pi_al + model.pi_mi + model.pi_ma
+    for cut in (model.pi_al, model.pi_al + model.pi_mi, model.pi_al + model.pi_mi + model.pi_ma):
+        code += (u >= cut).view(np.int8) << 1
     del u  # freed before the next draw, so at most one float64 column is alive
-    y01 = (rng.random(n) < model.mu_01).view(np.int8)
-    y11 = (rng.random(n) < model.mu_11).view(np.int8)
-    m0 = ((s & 1) == 0).view(np.int8)  # stopped as majority: al (0) and ma (2)
-    m1 = (s < 2).view(np.int8)  # stopped as minority: al (0) and mi (1)
-    m = np.where(minority, m1, m0)
-    y = m & np.where(minority, y11, y01)
-    return EncounterTable(minority.view(np.int8), s, m0, m1, y01, y11, m, y, x=x)
+    code |= (rng.random(n) < model.mu_01).view(np.int8) << 3
+    code |= (rng.random(n) < model.mu_11).view(np.int8) << 4
+    return EncounterTable(code, x=x)
 
 
 def to_administrative(table: EncounterTable) -> AdministrativeDataset:
     """Project the detained rows (m = 1) to the observable (d, y, x) records."""
-    mask = table.m == 1
-    return AdministrativeDataset((2 * table.d[mask] + table.y[mask]).astype(np.int32), (table.x,))
+    from .estimate import AdministrativeDataset
+
+    detained = EncounterTable(table.code[table.m == 1], table.x)
+    return AdministrativeDataset((2 * detained.d + detained.y).astype(np.int32), (table.x,))
 
 
 def external_from_tables(tables: list[EncounterTable]) -> ExternalRaceDistribution:
@@ -88,6 +105,8 @@ def external_from_tables(tables: list[EncounterTable]) -> ExternalRaceDistributi
     selection-adjusted risk ratio reproduce the oracle value exactly, which
     the identity tests exploit.
     """
+    from .estimate import ExternalRaceDistribution
+
     counts: dict[str, tuple[float, float]] = {}
     for t in tables:
         old1, old0 = counts.get(t.x, (0.0, 0.0))
@@ -183,24 +202,6 @@ class OracleReport:
         return {"n": self.n, "estimands": {name: asdict(self.field(name)) for name in ORACLE_FIELDS}}
 
 
-def _cell_counts(table: EncounterTable) -> np.ndarray:
-    """Rows per cell code ``d | m0 << 1 | m1 << 2 | y01 << 3 | y11 << 4 | m << 5 | y << 6``."""
-    block = 65_536  # rows packed per bincount, which copies its input to intp
-    columns = []
-    for name in ("d", "m0", "m1", "y01", "y11", "m", "y"):
-        column = np.asarray(getattr(table, name))
-        if column.dtype.kind not in "biu" or (column.size and not 0 <= column.min() <= column.max() <= 1):
-            raise ValueError(f"column {name} must hold only 0 and 1")
-        columns.append(column.astype(np.int8, copy=False))
-    counts = np.zeros(128, dtype=np.int64)
-    for lo in range(0, table.n, block):
-        code = columns[0][lo : lo + block].copy()
-        for bit, column in enumerate(columns[1:], 1):
-            code |= column[lo : lo + block] << bit
-        counts += np.bincount(code, minlength=128)
-    return counts
-
-
 def oracle_estimands(table: EncounterTable) -> OracleReport:
     """Evaluate every estimand on the realized table by averaging its rows.
 
@@ -211,13 +212,16 @@ def oracle_estimands(table: EncounterTable) -> OracleReport:
     matches the selection-adjusted estimator exactly when the table serves as
     its own external source. Ratio fields with empty groups or zero
     denominators are reported as undefined. Each group is averaged through its
-    value -> row count map from the table's own columns, which must be 0/1.
+    value -> row count map, built from the row count of each cell code and
+    that cell's columns.
     """
+    block = 65_536  # rows per bincount, which copies its input to intp
+    counts = np.zeros(CELLS, dtype=np.int64)
+    for lo in range(0, table.n, block):
+        counts += np.bincount(table.code[lo : lo + block].astype(np.intp), minlength=CELLS)
     groups: defaultdict[str, Counter] = defaultdict(Counter)
-    counts = _cell_counts(table)
-    for code in np.flatnonzero(counts).tolist():
-        count = int(counts[code])
-        d, m0, m1, y01, y11, m, y = ((code >> bit) & 1 for bit in range(7))
+    cells = cell_values("d", "m0", "m1", "y01", "y11", "m", "y")
+    for count, (d, m0, m1, y01, y11, m, y) in zip(counts.tolist(), cells):
         diff = y11 * m1 - y01 * m0
         for group, member, value in (
             ("ate", 1, diff), ("att", d, diff), ("ate_m1", m, diff), ("att_m1", d & m, diff),

@@ -1,6 +1,7 @@
 """CLI tests: subcommand behaviour, exit codes, output schema stability."""
 
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -193,6 +194,33 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "estimate_haldane_b1000.csv").read_text()
 
+    def test_verify_jsonl_golden(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["verify", "--format", "json-lines", "--draws", "2000", "--oracle-n", "200000",
+             "--seed", "1729"],
+        )
+        assert code == 0
+        assert out == (GOLDEN / "verify_seed1729.jsonl").read_text()
+
+    def test_simulate_artifacts_are_pinned(self, capsys, tmp_path, toy_model_file):
+        out_dir = tmp_path / "out"
+        code, _, _ = run(
+            capsys,
+            ["simulate", "--model-file", toy_model_file, "--n", "65537", "--seed", "2026",
+             "--out-dir", str(out_dir)],
+        )
+        assert code == 0
+        digests = {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in ("encounters.csv", "administrative.csv", "oracle.json")
+        }
+        assert digests == {
+            "encounters.csv": "e9420019253004d0ff1c2b61154d2bc021048bb64af1fefb783745b7af1968df",
+            "administrative.csv": "3eca538fee0307d49329c590ffbe4ea000ff4c9e2953b6b8e381d29340a312a6",
+            "oracle.json": "5d4e407a3beb9ee607edbcb7433c27b3758344a70b1439cd64279af685702eb9",
+        }
+
 
 @pytest.fixture
 def strata_inputs(tmp_path, monkeypatch):
@@ -292,6 +320,27 @@ def test_estimation_imports_only_what_it_runs(strata_inputs):
     assert after_import == "[]"  # import crrkit loads no submodule
     assert after_commands == str(
         ["crrkit.cli", "crrkit.dataio", "crrkit.errors", "crrkit.estimate", "crrkit.report"]
+    )
+
+
+
+def test_verify_imports_only_what_it_runs():
+    script = (
+        "import sys\n"
+        "from crrkit.cli import main\n"
+        # exit 1 is a failed check: 50 draws of seed 1729 hold no ATE_M1 sign-reversal witness
+        "assert main(['verify', '--draws', '50', '--oracle-n', '1000']) in (0, 1)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('crrkit.')), file=sys.stderr)\n"
+    )
+    src = str(Path(crrkit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == str(
+        ["crrkit.cli", "crrkit.errors", "crrkit.model", "crrkit.report", "crrkit.simulate",
+         "crrkit.verify"]
     )
 
 

@@ -1,8 +1,8 @@
 """Simulator tests: structural invariants, determinism, and oracle agreement."""
 
-import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from crrkit.estimate import bias_factor, naive_risk_ratio
 from crrkit.model import Estimand, PopulationModel, estimand_value, weights_of
 from crrkit.simulate import (
     ORACLE_FIELDS,
+    EncounterTable,
     OracleEstimate,
     OracleReport,
     external_from_table,
@@ -51,6 +52,26 @@ class TestSampling:
         for model in sample_models(rng, 10):
             table = sample_encounters(model, 2000, seed=int(rng.integers(2**63)))
             assert not np.any((table.m == 0) & (table.y == 1))
+
+    def test_columns_follow_a_hand_written_code(self):
+        # d | s << 1 | y01 << 3 | y11 << 4, with m and y filled in by consistency
+        code = np.array([0b10111, 0b01000, 0b11101, 0b00110, 0b11011], dtype=np.int8)
+        table = EncounterTable(code, "all")
+        expected = {
+            "d": [1, 0, 1, 0, 1],
+            "s": [3, 0, 2, 3, 1],
+            "y01": [0, 1, 1, 0, 1],
+            "y11": [1, 0, 1, 0, 1],
+            "m0": [0, 1, 1, 0, 0],  # stopped as majority in al (0) and ma (2)
+            "m1": [0, 1, 0, 0, 1],  # stopped as minority in al (0) and mi (1)
+            "m": [0, 1, 0, 0, 1],
+            "y": [0, 1, 0, 0, 1],
+        }
+        for col, values in expected.items():
+            column = getattr(table, col)
+            assert column.dtype == np.int8, col
+            assert column.tolist() == values, col
+        assert table.n == 5
 
     def test_determinism(self):
         a = sample_encounters(TOY_MODEL, 5000, seed=11)
@@ -230,13 +251,26 @@ class TestOracleMatchesRowAverages:
                 if w.se is not None:
                     assert abs(g.se - w.se) <= 4 * math.ulp(w.se), label
 
-    @pytest.mark.parametrize("col, bad", [("d", 2), ("m", -1), ("y11", 3), ("y", 64)])
-    def test_non_binary_column_raises(self, col, bad):
-        table = sample_encounters(TOY_MODEL, 100, seed=1)
-        column = getattr(table, col).copy()
-        column[17] = bad
-        with pytest.raises(ValueError, match=f"column {col} must"):
-            oracle_estimands(dataclasses.replace(table, **{col: column}))
+    @pytest.mark.parametrize(
+        "bad", [np.int8(32), np.int8(-1), np.float64(3.0)], ids=["above-31", "negative", "float"]
+    )
+    def test_code_outside_the_cells_raises(self, bad):
+        # the table refuses the code, so neither the oracle nor a writer reads a wrong cell
+        code = sample_encounters(TOY_MODEL, 100, seed=1).code.astype(np.asarray(bad).dtype)
+        code[17] = bad
+        with pytest.raises(ValueError, match="code must"):
+            oracle_estimands(EncounterTable(code, "all"))
+
+    def test_oracle_memory_stays_blocked(self):
+        # bincount copies its input to intp: 8 MB for one unblocked 10^6-row code
+        table = sample_encounters(TOY_MODEL, 1_000_000, seed=2)
+        tracemalloc.start()
+        try:
+            oracle_estimands(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
 
 
 class TestOracle:
