@@ -23,8 +23,8 @@ _EXPORTS = {
         (
             "estimate",
             "AdministrativeDataset EstimateWithCI ExternalRaceDistribution StratumResult "
-            "SurveyRespondents bias_factor bootstrap crr_identified naive_risk_difference "
-            "naive_risk_ratio sensitivity_mixture stratified_estimates",
+            "bias_factor bootstrap crr_identified naive_risk_difference naive_risk_ratio "
+            "sensitivity_mixture stratified_estimates",
         ),
         (
             "model",

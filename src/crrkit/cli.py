@@ -312,6 +312,9 @@ def _parse_strata(args: argparse.Namespace, data: AdministrativeDataset) -> list
     keys = [k for k in args.strata.split(",") if k]
     if not keys:
         raise DataError(f"--strata {args.strata!r} names no stratum")
+    repeated = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+    if repeated is not None:
+        raise DataError(f"--strata {args.strata!r} names stratum {repeated!r} more than once")
     present = set(data.strata())
     unknown = [k for k in keys if k not in present]
     if unknown:

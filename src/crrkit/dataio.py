@@ -55,11 +55,7 @@ from .errors import (
     NegativeCountError,
     UnparseableRowError,
 )
-from .estimate import (
-    AdministrativeDataset,
-    ExternalRaceDistribution,
-    SurveyRespondents,
-)
+from .estimate import AdministrativeDataset, ExternalRaceDistribution
 from .report import SURVEY_MODES
 
 if TYPE_CHECKING:  # model and simulate load only when a function below needs them
@@ -449,23 +445,24 @@ def load_census(path: str | Path) -> tuple[ExternalRaceDistribution, LoadReport]
     counts raise NegativeCountError.
     """
 
-    def parse(values: tuple[str, ...], line: int) -> tuple[str, float, float]:
-        stratum, *tokens = [value.strip() for value in values]
+    def parse(values: tuple[str, str], line: int) -> tuple[float, float]:
+        tokens = [value.strip() for value in values]
         # ASCII decimals with an optional exponent, as R writes 1e+05
         if not all(re.fullmatch(r"-?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?", t) for t in tokens):
             raise UnparseableRowError(f"counts must be decimal numbers, got {tokens}", line)
         c1, c0 = map(float, tokens)
         if not (np.isfinite(c1) and np.isfinite(c0)) or c1 < 0 or c0 < 0:
             raise NegativeCountError(f"{path} line {line}: counts must be finite and nonnegative")
-        return stratum, c1, c0
+        return c1, c0
 
-    (code,), (parsed,), number, report = _load_rows(path, CENSUS_COLUMNS, [((0, 1, 2), parse)])
-    rows = np.bincount(code, number, minlength=len(parsed)).astype(np.int64).tolist()
-    counts: dict[str, tuple[float, float]] = {}
-    for (key, c1, c0), n in zip(parsed, rows):  # duplicates accumulate
-        old1, old0 = counts.get(key, (0.0, 0.0))
-        counts[key] = (old1 + n * c1, old0 + n * c0)
-    return ExternalRaceDistribution.census_from_counts(counts), report
+    fields = [(0, lambda token, line: token.strip()), ((1, 2), parse)]
+    (stratum, pair), (keys, pairs), number, report = _load_rows(path, CENSUS_COLUMNS, fields)
+    # each distinct row (c1, c0) is the cells (1, c1) and (0, c0), sized by its copies
+    counts = np.array(pairs, dtype=float).reshape(-1, 2)[pair].ravel()
+    cells = np.column_stack([np.tile([1.0, 0.0], len(pair)), counts])
+    return ExternalRaceDistribution.from_cells(
+        tuple(keys), np.repeat(stratum, 2), cells, np.repeat(number, 2)
+    ), report
 
 
 @dataclass(frozen=True, eq=False)
@@ -553,7 +550,7 @@ def derive_survey_distribution(
     with more than 30 contacts. Raises EmptySubsetError when nothing usable
     remains or the subset's total weight is zero. The mode is a mask over the
     table's rows, and one ``bincount`` counts the kept rows by stratum code,
-    race and weight; each scope's (race, weight) cells then come out sorted.
+    race and weight: the table's nonzero entries are the source's cells.
     """
     if mode not in SURVEY_MODES:
         raise ValueError(f"unknown survey mode {mode!r}; expected one of {SURVEY_MODES}")
@@ -571,7 +568,7 @@ def derive_survey_distribution(
         keep &= (contacts >= 0) & (contacts <= MAX_WEIGHTED_CONTACTS)
         weights, weight = np.arange(MAX_WEIGHTED_CONTACTS + 1.0), contacts
 
-    # cells in (race, weight) order, so each scope's nonzero cells are sorted
+    # cells in (race, weight) order
     cells = np.column_stack([np.repeat([0.0, 1.0], len(weights)), np.tile(weights, 2)])
     code = (stratum * 2 + race) * len(weights) + weight
     table = np.bincount(code[keep], survey.count[keep], len(survey.keys) * len(cells))
@@ -582,13 +579,10 @@ def derive_survey_distribution(
     if not pooled @ cells[:, 1]:
         raise EmptySubsetError(f"survey mode {mode!r} subset has zero total weight")
 
-    def scope(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        at = np.flatnonzero(counts)
-        return cells[at], counts[at]
-
-    scopes = {None: scope(pooled)}
-    scopes.update((key, scope(counts)) for key, counts in zip(survey.keys, table) if counts.any())
-    return ExternalRaceDistribution.from_survey(SurveyRespondents(scopes))
+    stratum, cell = np.nonzero(table)
+    return ExternalRaceDistribution.from_cells(
+        survey.keys, stratum, cells[cell], table[stratum, cell], resampled=True
+    )
 
 
 # -- model files and artifact writers ------------------------------------------

@@ -10,8 +10,10 @@ come from an external census or survey source.
 
 Estimation here is by stratified empirical frequencies within one covariate
 cell at a time; no regression smoothing. Confidence intervals are percentile
-bootstrap. Census externals are treated as fixed population quantities and
-are never resampled; survey externals are resampled respondent-by-respondent
+bootstrap. An external source is one table of counts over (race, weight)
+cells per stratum and pooled, so census and survey shares are one weighted
+sum. Census externals are treated as fixed population quantities and are
+never resampled; survey externals are resampled respondent-by-respondent
 alongside the administrative rows.
 
 Every statistic depends only on a scope's record counts in the four cells
@@ -21,17 +23,15 @@ estimate is one row, and a bootstrap call evaluates its point (row 0) and all
 its replicates in one call. Resampling n rows with replacement and counting
 them is a multinomial draw over the four cells, so a bootstrap call draws
 every replicate's counts at once from one generator (for survey sources, the
-respondent counts per (race, weight) cell after them). Survey respondents are
-counted by (race, weight) cell, so every survey share is one weighted sum.
+respondent counts per (race, weight) cell after them).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -138,84 +138,27 @@ class AdministrativeDataset:
         return sorted((key for key in self.keys if any(self._table[key])), key=str)
 
 
-def _weighted_shares(counts: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Weighted minority share per row of counts over (race, weight) cells; NaN at weight 0."""
-    totals = counts @ cells[:, 1]
-    minority = counts @ (cells[:, 0] * cells[:, 1])
-    return np.divide(minority, totals, out=np.full(len(totals), np.nan), where=totals > 0.0)
-
-
 def _shares(p1: float | None, size: int) -> np.ndarray:
     """``size`` copies of share ``p1`` as floats, NaN for None."""
     return np.full(size, np.nan if p1 is None else p1, dtype=float)
 
 
-def _optional(share: float) -> float | None:
-    return None if math.isnan(share) else share
-
-
-def _cell_table(counts: Mapping[tuple[int, float], int]) -> tuple[np.ndarray, np.ndarray]:
-    """The (race, weight) cells of ``counts`` sorted, as a float (k, 2) array, and their counts."""
-    cells = sorted(counts)
-    return np.array(cells, dtype=float).reshape(-1, 2), np.array(
-        [counts[cell] for cell in cells], dtype=np.int64
-    )
-
-
-@dataclass(frozen=True)
-class SurveyRespondents:
-    """Survey respondents counted by stratum key and (race, resampling weight) cell.
-
-    ``table`` maps each stratum key, and None for the pool of all strata, to
-    its cells sorted by (race, weight) and the respondent count of each; the
-    order of the cells is the category order of the bootstrap's multinomial.
-    """
-
-    table: Mapping[Hashable, tuple[np.ndarray, np.ndarray]]
-
-    def __post_init__(self) -> None:
-        cells = self.table[None][0]  # the pool holds every cell
-        _check_binary("d", cells[:, 0])
-        if not np.all(np.isfinite(cells[:, 1])) or np.any(cells[:, 1] < 0):
-            raise ValueError("weights must be finite and nonnegative")
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[tuple[Hashable, int, float], int]) -> "SurveyRespondents":
-        """Respondents from their number per (stratum key, race, weight)."""
-        scopes: defaultdict[Hashable, Counter] = defaultdict(Counter, {None: Counter()})
-        for (key, d, weight), count in counts.items():
-            scopes[key][d, weight] += count
-            scopes[None][d, weight] += count
-        return cls({key: _cell_table(cells) for key, cells in scopes.items()})
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[int, Hashable, float]]) -> "SurveyRespondents":
-        """Respondents from (race, stratum key, weight) rows, counted."""
-        return cls.from_counts(Counter((x, d, weight) for d, x, weight in rows))
-
-    def _scope(self, x: str | None) -> tuple[np.ndarray, np.ndarray]:
-        """The (race, weight) cells of stratum ``x`` (None = all) and their respondent counts."""
-        return self.table.get(x, (np.empty((0, 2)), np.empty(0, dtype=np.int64)))
-
-    def _share(self, x: str | None) -> float | None:
-        cells, counts = self._scope(x)
-        return _optional(_weighted_shares(counts[None, :], cells).tolist()[0])
-
-    def minority_share(self) -> float | None:
-        """Weighted share of minority respondents, or None on zero total weight."""
-        return self._share(None)
-
-    def shares_by_stratum(self) -> dict[str, float | None]:
-        keys = sorted((k for k in self.table if k is not None), key=str)
-        return {key: self._share(key) for key in keys}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExternalRaceDistribution:
-    """Per-stratum minority shares among encounters, from a census or survey source.
+    """Minority shares among encounters, per stratum and pooled, from a census or survey source.
 
-    A source with ``respondents`` is a survey: its shares are recomputed from
-    a respondent resample on every bootstrap replicate. Any other source is a
+    A source is one table of counts over (race, weight) cells in each scope:
+    scope i < len(keys) is stratum ``keys[i]`` and scope len(keys) the pool
+    of all strata. A census row with population counts (c1, c0) is the cells
+    (1, c1) and (0, c0), each of size the number of copies of the row; a
+    survey respondent is the cell (race, resampling weight), and a cell's
+    size is its number of respondents. A scope's share is its size-weighted
+    minority weight over its size-weighted total weight. ``cells`` (float
+    (race, weight) rows) and ``sizes`` hold the nonzero cells sorted by
+    (scope, race, weight), scope i's in rows ``bounds[i]:bounds[i + 1]``.
+
+    A ``resampled`` source is a survey: its shares are recomputed from a
+    respondent resample on every bootstrap replicate. Any other source is a
     census of fixed population quantities, never resampled. An optional
     mixture pulls every local share toward a common citywide share:
 
@@ -225,13 +168,20 @@ class ExternalRaceDistribution:
     bootstrapping.
     """
 
-    shares: Mapping[str, float | None]
-    counts: Mapping[str, tuple[float, float]] | None = None
-    respondents: SurveyRespondents | None = None
+    keys: tuple
+    bounds: np.ndarray
+    cells: np.ndarray
+    sizes: np.ndarray
+    resampled: bool = False
     mix_lambda: float = 1.0
     mix_citywide: float | None = None
 
     def __post_init__(self) -> None:
+        _check_binary("d", self.cells[:, 0])
+        if not np.all(np.isfinite(self.cells[:, 1])) or np.any(self.cells[:, 1] < 0):
+            raise ValueError("weights must be finite and nonnegative")
+        if np.any(self.sizes <= 0):
+            raise ValueError("cell sizes must be positive")
         if not 0.0 <= self.mix_lambda <= 1.0:
             raise ValueError("mix_lambda must lie in [0, 1]")
         if self.mix_citywide is not None and not 0.0 < self.mix_citywide < 1.0:
@@ -240,33 +190,68 @@ class ExternalRaceDistribution:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def census_from_counts(
-        cls, counts: Mapping[str, tuple[float, float]]
+    def from_cells(
+        cls, keys: Sequence[Hashable], code, cells, sizes, *, resampled: bool = False
     ) -> "ExternalRaceDistribution":
-        """Fixed distribution from per-stratum (minority, majority) population counts."""
-        shares = {key: c1 / (c1 + c0) if c1 + c0 > 0 else None for key, (c1, c0) in counts.items()}
-        return cls(shares=shares, counts=dict(counts))
+        """A source from each cell's stratum code (an index into ``keys``), (race, weight) and size.
+
+        The cells may come in any order: repeated cells add up, cells of size
+        0 are dropped, and the pool holds every stratum's cells merged.
+        """
+        code = np.asarray(code, dtype=np.int64)
+        cells = np.asarray(cells, dtype=float).reshape(-1, 2)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        # each cell once in its stratum's scope and once in the pool's
+        code = np.concatenate([code, np.full(len(code), len(keys))])
+        cells, sizes = np.concatenate([cells, cells]), np.concatenate([sizes, sizes])
+        order = np.lexsort((cells[:, 1], cells[:, 0], code))
+        code, cells, sizes = code[order], cells[order], sizes[order]
+        first = np.ones(len(code), dtype=bool)  # the first row of each distinct cell of a scope
+        first[1:] = (code[1:] != code[:-1]) | np.any(cells[1:] != cells[:-1], axis=1)
+        start = np.flatnonzero(first)
+        sizes = np.add.reduceat(sizes, start)
+        start, sizes = start[sizes != 0], sizes[sizes != 0]
+        bounds = np.searchsorted(code[start], np.arange(len(keys) + 2))
+        return cls(tuple(keys), bounds, cells[start], sizes, resampled)
 
     @classmethod
-    def from_survey(cls, respondents: SurveyRespondents) -> "ExternalRaceDistribution":
-        return cls(shares=respondents.shares_by_stratum(), respondents=respondents)
+    def census_from_counts(
+        cls, counts: Mapping[Hashable, tuple[float, float]]
+    ) -> "ExternalRaceDistribution":
+        """Fixed distribution from per-stratum (minority, majority) population counts."""
+        cells = [cell for c1, c0 in counts.values() for cell in ((1.0, c1), (0.0, c0))]
+        code = np.arange(len(counts)).repeat(2)
+        return cls.from_cells(tuple(counts), code, cells, np.ones(len(cells), np.int64))
 
     # -- lookups ---------------------------------------------------------------
 
-    def _local_share(self, x: str | None) -> float | None:
-        if x is not None:
-            return self.shares.get(x)
-        # pooled scope: aggregate whatever raw material is available
-        if self.counts is not None:
-            c1 = sum(c for c, _ in self.counts.values())
-            c0 = sum(c for _, c in self.counts.values())
-            total = c1 + c0
-            return (c1 / total) if total > 0 else None
-        if self.respondents is not None:
-            return self.respondents.minority_share()
-        if len(self.shares) == 1:
-            return next(iter(self.shares.values()))
-        return None
+    @cached_property
+    def _scopes(self) -> tuple[dict, tuple[int, int, float | None]]:
+        """Each scope's cell rows lo, hi and share, mixture applied (the pool under None), and
+        those of a stratum without cells.
+
+        A share is None at zero total weight. Unmixed, a total weight that overflows to inf
+        keeps its share, 0.0 or NaN (inf / inf), as Python's float division gives it.
+        """
+        n = len(self.keys) + 1
+        scope = np.repeat(np.arange(n), np.diff(self.bounds))
+        minority = self.cells[:, 0] == 1
+        with np.errstate(over="ignore", invalid="ignore"):  # counts near the float limit: inf
+            weight = self.sizes * self.cells[:, 1]
+            totals = np.bincount(scope, weight, n)
+            shares = np.bincount(scope[minority], weight[minority], n) / totals
+        shares = np.append(shares, np.nan)  # the last: a stratum without cells
+        defined = np.append(totals > 0.0, False)
+        if self.mix_citywide is not None:
+            shares = self._mixed(shares)
+            defined = ~np.isnan(shares)
+        p1 = [share if ok else None for share, ok in zip(shares.tolist(), defined.tolist())]
+        bounds = self.bounds.tolist()
+        return dict(zip((*self.keys, None), zip(bounds, bounds[1:], p1))), (0, 0, p1[-1])
+
+    def _scope(self, x: Hashable) -> tuple[int, int, float | None]:
+        scopes, without_cells = self._scopes
+        return scopes.get(x, without_cells)
 
     def _mixed(self, base: np.ndarray) -> np.ndarray:
         """Shares ``base`` (NaN: none) with the mixture applied."""
@@ -277,11 +262,8 @@ class ExternalRaceDistribution:
         return self.mix_lambda * base + (1.0 - self.mix_lambda) * self.mix_citywide
 
     def p1_for(self, x: str | None) -> float | None:
-        """Minority share for stratum ``x`` (None = pooled), mixture applied."""
-        base = self._local_share(x)
-        if self.mix_citywide is None:
-            return base  # as given: a point's error message quotes it
-        return _optional(self._mixed(_shares(base, 1)).tolist()[0])
+        """Minority share for stratum ``x`` (None = pooled), mixture applied; None: undefined."""
+        return self._scope(x)[2]
 
     # -- bootstrap support ------------------------------------------------------
 
@@ -291,18 +273,19 @@ class ExternalRaceDistribution:
         """``replicates`` bootstrap draws of p1 for scope ``x``, mixture applied; NaN: none.
 
         Census sources repeat their fixed share and take nothing from ``rng``.
-        Survey sources draw one multinomial over the distinct (race, weight)
-        cells of the scoped respondents, which is a with-replacement resample
-        of them counted by cell, and recompute the weighted share per draw.
+        Survey sources draw one multinomial over the scope's (race, weight)
+        cells, which is a with-replacement resample of its respondents
+        counted by cell, and recompute the weighted share per draw.
         """
-        if self.respondents is None:
-            return _shares(self.p1_for(x), replicates)
-        cells, counts = self.respondents._scope(x)
-        m = int(counts.sum())
-        if m == 0:
-            return self._mixed(_shares(None, replicates))
-        draws = rng.multinomial(m, counts / m, size=replicates)
-        return self._mixed(_weighted_shares(draws, cells))
+        lo, hi, p1 = self._scope(x)
+        if not self.resampled or lo == hi:
+            return _shares(p1, replicates)
+        cells, sizes = self.cells[lo:hi], self.sizes[lo:hi]
+        m = int(sizes.sum())
+        draws = rng.multinomial(m, sizes / m, size=replicates)
+        totals, minority = draws @ cells[:, 1], draws @ (cells[:, 0] * cells[:, 1])
+        shares = np.divide(minority, totals, out=_shares(None, replicates), where=totals > 0.0)
+        return self._mixed(shares)
 
 
 def sensitivity_mixture(
@@ -311,8 +294,8 @@ def sensitivity_mixture(
     """Blend local shares with a citywide share: lambda * local + (1 - lambda) * citywide.
 
     lam = 1 reproduces the input distribution; lam = 0 assigns every stratum
-    the citywide share. Survey respondents are kept, so survey distributions
-    keep resampling under the bootstrap with the mixture reapplied per replicate.
+    the citywide share. A survey source stays resampled, so it keeps resampling
+    under the bootstrap with the mixture reapplied per replicate.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")

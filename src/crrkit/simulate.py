@@ -107,11 +107,12 @@ def external_from_tables(tables: list[EncounterTable]) -> ExternalRaceDistributi
     """
     from .estimate import ExternalRaceDistribution
 
-    counts: dict[str, tuple[float, float]] = {}
-    for t in tables:
-        old1, old0 = counts.get(t.x, (0.0, 0.0))
-        counts[t.x] = (float(np.sum(t.d == 1)) + old1, float(np.sum(t.d == 0)) + old0)
-    return ExternalRaceDistribution.census_from_counts(counts)
+    # every encounter is a weight-1 cell of its race: cells (0, 1) and (1, 1) per table
+    keys: dict[str, int] = {}
+    code = [keys.setdefault(t.x, len(keys)) for t in tables]
+    sizes = np.ravel([np.bincount(t.d, minlength=2) for t in tables])
+    cells = np.tile([[0.0, 1.0], [1.0, 1.0]], (len(tables), 1))
+    return ExternalRaceDistribution.from_cells(tuple(keys), np.repeat(code, 2), cells, sizes)
 
 
 def external_from_table(table: EncounterTable) -> ExternalRaceDistribution:

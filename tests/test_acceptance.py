@@ -15,7 +15,6 @@ from crrkit.cli import main
 from crrkit.estimate import (
     AdministrativeDataset,
     ExternalRaceDistribution,
-    SurveyRespondents,
     bias_factor,
     bootstrap,
     crr_identified,
@@ -80,7 +79,7 @@ def test_c02_bias_factor_worked_example():
     with criterion(2, "bias factor for (0.8, 0.25) is exactly 12.0"):
         rows = [(1, 0, "all")] * 8 + [(0, 0, "all")] * 2
         data = AdministrativeDataset.from_rows(rows)
-        external = ExternalRaceDistribution(shares={"all": 0.25})
+        external = ExternalRaceDistribution.census_from_counts({"all": (0.25, 0.75)})
         assert bias_factor(data, external) == 12.0
 
 
@@ -190,11 +189,14 @@ def test_c08_survey_bootstrap_coverage(m):
             rng = np.random.default_rng(child)
             table = sample_encounters(TOY_MODEL, 10_000, seed=int(rng.integers(2**63)))
             survey = sample_encounters(TOY_MODEL, m, seed=int(rng.integers(2**63)))
-            respondents = SurveyRespondents.from_rows((d, "all", 1.0) for d in survey.d.tolist())
+            respondents = ExternalRaceDistribution.from_cells(
+                ("all",), [0, 0], [(0, 1.0), (1, 1.0)], np.bincount(survey.d, minlength=2),
+                resampled=True,
+            )
             estimate = bootstrap(
                 crr_identified,
                 to_administrative(table),
-                ExternalRaceDistribution.from_survey(respondents),
+                respondents,
                 level=0.95,
                 replicates=1000,
                 seed=int(rng.integers(2**63)),

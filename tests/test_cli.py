@@ -832,7 +832,10 @@ class TestConfigAndErrors:
             ["sensitivity", "--census", str(census), "--lambda", "0.5", "--citywide-p1", "0.3"],
         )
         for command in commands:
-            for strata, message in (("zz", "zz"), ("", "names no stratum"), (",", "names no stratum")):
+            for strata, message in (
+                ("zz", "zz"), ("", "names no stratum"), (",", "names no stratum"),
+                ("a,a", "names stratum 'a' more than once"),
+            ):
                 code, out, err = run(
                     capsys,
                     [*command, "--admin", str(admin), "--strata", strata, "--bootstrap", "50"],

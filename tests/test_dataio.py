@@ -39,7 +39,6 @@ from crrkit.errors import (
 from crrkit.estimate import (
     AdministrativeDataset,
     ExternalRaceDistribution,
-    SurveyRespondents,
     naive_risk_ratio,
 )
 from crrkit.model import STRATA, PopulationModel
@@ -713,7 +712,14 @@ class TestCensusLoader:
             "stratum,count_d1,count_d0\np7,30,20\np8,1,3\np7,30,20\n p7 ,20,0\np8,1,3\n",
         )
         external, report = load_census(path)
-        assert external.counts == {"p7": (80.0, 40.0), "p8": (2.0, 6.0)}
+        # a row (c1, c0) is the cells (1, c1) and (0, c0), sized by its copies
+        assert external_fields(external)[0] == {
+            "p7": ([[0, 0], [0, 20], [1, 20], [1, 30]], [1, 2, 1, 2]),
+            "p8": ([[0, 3], [1, 1]], [2, 2]),
+            None: ([[0, 0], [0, 3], [0, 20], [1, 1], [1, 20], [1, 30]], [1, 2, 2, 2, 1, 2]),
+        }
+        assert (external.p1_for("p7"), external.p1_for("p8")) == (80 / 120, 2 / 8)
+        assert external.p1_for(None) == 82 / 128
         assert (report.n_physical, report.n_loaded) == (5, 5)
 
     @pytest.mark.parametrize(
@@ -1088,7 +1094,17 @@ def rowwise_survey_distribution(loaded, mode):
         raise EmptySubsetError(f"survey mode {mode!r} selected no usable respondents")
     if not any(weight for _, _, weight in counts):
         raise EmptySubsetError(f"survey mode {mode!r} subset has zero total weight")
-    return ExternalRaceDistribution.from_survey(SurveyRespondents.from_counts(counts))
+    return cell_source(counts, resampled=True)
+
+
+def cell_source(counts, *, resampled=False):
+    """A source from its cell sizes by (stratum key, race, weight)."""
+    keys = {}
+    code = [keys.setdefault(key, len(keys)) for key, _, _ in counts]
+    cells = [cell for _, *cell in counts]
+    return ExternalRaceDistribution.from_cells(
+        tuple(keys), code, cells, list(counts.values()), resampled=resampled
+    )
 
 
 def outcome(load):
@@ -1102,13 +1118,15 @@ def outcome(load):
 
 
 def external_fields(external):
-    respondents = external.respondents
-    table = None if respondents is None else {
-        key: (cells.tolist(), counts.tolist(), cells.dtype, counts.dtype)
-        for key, (cells, counts) in respondents.table.items()
-    }
-    counts = None if external.counts is None else list(external.counts.items())
-    return list(external.shares.items()), counts, table
+    """A source's (race, weight) cells and their sizes, and the share, of each scope with cells
+    (None: the pool), then its kind and dtypes."""
+    scopes, shares = {}, {}
+    for key in (*external.keys, None):
+        lo, hi, shares[key] = external._scope(key)
+        if hi > lo:
+            scopes[key] = (external.cells[lo:hi].tolist(), external.sizes[lo:hi].tolist())
+    shares = {key: shares[key] for key in scopes}
+    return scopes, shares, external.resampled, external.cells.dtype, external.sizes.dtype
 
 
 #: Tokens per column kind, valid and not, for the differential loader test; the first three
@@ -1240,13 +1258,11 @@ class TestCodedFieldsMatchRowWiseParse:
             assert result.cell.tolist() == np.repeat(cells, list(loaded.values())).tolist()
             assert result.keys == tuple(codes)
         elif kind == "census":
-            counts = {}
+            counts = Counter()
             for (key, c1, c0), n in loaded.items():
-                old1, old0 = counts.get(key, (0.0, 0.0))
-                counts[key] = (old1 + n * c1, old0 + n * c0)
-            assert external_fields(result) == external_fields(
-                ExternalRaceDistribution.census_from_counts(counts)
-            )
+                counts[key, 1, c1] += n
+                counts[key, 0, c0] += n
+            assert external_fields(result) == external_fields(cell_source(counts))
         else:
             cap = dataio.MAX_WEIGHTED_CONTACTS + 1  # the table holds larger counts as this
             held, want = Counter(), Counter()

@@ -3,6 +3,7 @@
 import functools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from crrkit.estimate import (
     AdministrativeDataset,
     EstimateWithCI,
     ExternalRaceDistribution,
-    SurveyRespondents,
     _percentiles,
     bias_factor,
     bootstrap,
@@ -47,7 +47,29 @@ def dataset(rows):
 
 
 def census(share_by_stratum):
-    return ExternalRaceDistribution(shares=share_by_stratum)
+    """A census whose strata have the given minority shares: counts (p, 1 - p), (0, 0) for None.
+
+    The share is p to the bit, since p + (1 - p) rounds to 1.0 for every p in [0, 1].
+    """
+    return ExternalRaceDistribution.census_from_counts(
+        {key: (0.0, 0.0) if p is None else (p, 1.0 - p) for key, p in share_by_stratum.items()}
+    )
+
+
+def survey(rows):
+    """A survey source from (race, stratum key, weight) respondent rows, each of size 1."""
+    rows = list(rows)
+    keys = {}
+    code = [keys.setdefault(x, len(keys)) for _, x, _ in rows]
+    cells = [(d, weight) for d, _, weight in rows]
+    return ExternalRaceDistribution.from_cells(
+        tuple(keys), code, cells, np.ones(len(rows), np.int64), resampled=True
+    )
+
+
+def fixed_share(p1):
+    """A stand-in source whose every scope has share ``p1``, which no count table can hold."""
+    return SimpleNamespace(p1_for=lambda x: p1)
 
 
 SIMPLE = dataset([(1, 1, "all"), (1, 0, "all"), (0, 0, "all"), (0, 0, "all")])
@@ -265,10 +287,7 @@ class TestBootstrap:
         assert rng.bit_generator.state == state  # draws nothing from the stream
 
     def test_survey_external_varies_across_replicates(self):
-        respondents = SurveyRespondents.from_rows(
-            [(1, "all", 1.0)] * 30 + [(0, "all", 1.0)] * 70
-        )
-        external = ExternalRaceDistribution.from_survey(respondents)
+        external = survey([(1, "all", 1.0)] * 30 + [(0, "all", 1.0)] * 70)
         shares = external._share_draws("all", np.random.default_rng(1), 20)
         assert len(shares) == 20
         assert len(set(shares)) > 1
@@ -294,10 +313,8 @@ class TestBootstrap:
         # agree, and the same seed reproduces
         table = sample_encounters(TOY_MODEL, 5000, seed=91)
         admin = to_administrative(table)
-        survey = ExternalRaceDistribution.from_survey(
-            SurveyRespondents.from_rows([(1, "all", 2.0)] * 30 + [(0, "all", 1.0)] * 70)
-        )
-        calls = [(naive_risk_ratio, None, 17), (crr_identified, survey, 18)]
+        source = survey([(1, "all", 2.0)] * 30 + [(0, "all", 1.0)] * 70)
+        calls = [(naive_risk_ratio, None, 17), (crr_identified, source, 18)]
 
         def run(statistic, external, seed):
             return bootstrap(statistic, admin, external, replicates=150, seed=seed)
@@ -323,15 +340,16 @@ class TestBootstrap:
             assert (res.adjusted.hi - res.adjusted.lo) > res.adjusted.point
 
 
-#: Each survey source's SurveyRespondents and respondent rows, by id, for the row-level reference.
+#: Each survey source and its respondent rows, by the id of its cell array (which a mixture
+#: shares), for the row-level reference.
 SURVEY_ROWS: dict[int, tuple] = {}
 
 
 def survey_source(rows):
     """A survey source from (race, stratum key, weight) rows, whose rows the reference can read."""
-    respondents = SurveyRespondents.from_rows(rows)
-    SURVEY_ROWS[id(respondents)] = respondents, rows  # kept alive, so the id stays its own
-    return ExternalRaceDistribution.from_survey(respondents)
+    external = survey(rows)
+    SURVEY_ROWS[id(external.cells)] = external, rows  # kept alive, so the id stays its own
+    return external
 
 
 def in_scope(column, x):
@@ -365,8 +383,8 @@ def multinomial_bootstrap(statistic, data, external=None, *, x=None, level=0.95,
     cell_counts = np.array([np.sum((d == a) & (y == b)) for a, b in zip(cell_d, cell_y)])
     draws = rng.multinomial(len(d), cell_counts / len(d), size=replicates)
     externals = [external] * replicates
-    if external is not None and external.respondents is not None:
-        _, rows = SURVEY_ROWS[id(external.respondents)]
+    if external is not None and external.resampled:
+        _, rows = SURVEY_ROWS[id(external.cells)]
         resp_d, resp_x, resp_weight = (
             np.array(column, dtype) for column, dtype in zip(zip(*rows), (np.int8, object, float))
         )
@@ -381,14 +399,13 @@ def multinomial_bootstrap(statistic, data, external=None, *, x=None, level=0.95,
             pairs, resp_draws = np.zeros((0, 2)), np.zeros((replicates, 0), int)
         externals = []
         for counts in resp_draws:
-            drawn = SurveyRespondents.from_rows(zip(
+            drawn = survey(zip(
                 np.repeat(pairs[:, 0], counts).astype(np.int8),
                 np.full(int(np.sum(counts)), label, dtype=object),
                 np.repeat(pairs[:, 1], counts),
             ))
             externals.append(replace(
-                ExternalRaceDistribution.from_survey(drawn),
-                mix_lambda=external.mix_lambda, mix_citywide=external.mix_citywide,
+                drawn, mix_lambda=external.mix_lambda, mix_citywide=external.mix_citywide
             ))
     values, undefined = [], 0
     for counts, boot_external in zip(draws, externals):
@@ -603,7 +620,9 @@ class TestPointMatchesScalarForms:
     @settings(max_examples=400, deadline=None)
     def test_values_rule_order_and_messages(self, cells, haldane, share, x):
         rows = [(cell >> 1, cell & 1, "s") for cell, n in enumerate(cells) for _ in range(n)]
-        data, external = dataset(rows), census({"s": share})
+        # a census holds shares in [0, 1] only; the stand-in carries the others to the rules
+        in_range = share is None or 0.0 <= share <= 1.0
+        data, external = dataset(rows), census({"s": share}) if in_range else fixed_share(share)
         counts = scalar_cell_totals(*cells)
         for statistic, (form, reads_share) in SCALAR_FORMS.items():
             inputs = (data, external) if reads_share else (data,)
@@ -614,7 +633,7 @@ class TestPointMatchesScalarForms:
     def test_a_nan_share_is_out_of_range_not_missing(self):
         data = dataset([(1, 0, "s"), (0, 0, "s")])
         with pytest.raises(DegenerateOddsError, match=r"strictly in \(0, 1\), got nan"):
-            bias_factor(data, census({"s": math.nan}), "s")
+            bias_factor(data, fixed_share(math.nan), "s")
         with pytest.raises(DegenerateOddsError, match="no external minority share"):
             bias_factor(data, census({"s": None}), "s")
 
@@ -725,13 +744,10 @@ class TestSensitivityMixture:
         assert sensitivity_mixture(external, 0.367, 0.0).p1_for("empty") == 0.367
 
     def test_kind_preserved_and_reapplied_after_resample(self):
-        respondents = SurveyRespondents.from_rows(
-            [(1, "all", 1.0)] * 20 + [(0, "all", 1.0)] * 80
-        )
-        external = ExternalRaceDistribution.from_survey(respondents)
+        external = survey([(1, "all", 1.0)] * 20 + [(0, "all", 1.0)] * 80)
         mixed = sensitivity_mixture(external, 0.5, 0.8)
-        assert mixed.respondents is not None
-        assert sensitivity_mixture(census({"all": 0.2}), 0.5, 0.8).respondents is None
+        assert mixed.resampled
+        assert not sensitivity_mixture(census({"all": 0.2}), 0.5, 0.8).resampled
         redrawn = mixed._share_draws("all", np.random.default_rng(3), 5)
         # the same respondent draw, made by hand: one multinomial over the
         # cells (d=0, w=1) and (d=1, w=1); unit weights, so the share is a mean
@@ -777,6 +793,14 @@ class TestSensitivityMixture:
         assert np.all(diffs > 0) or np.all(diffs < 0)
 
 
+#: Finite nonnegative population counts, subnormals and zero included.
+population_counts = st.floats(0.0, allow_nan=False, allow_infinity=False)
+
+
+def float_bits(share):
+    return share if share is None else float.hex(share)
+
+
 class TestExternalDistribution:
     def test_census_counts_to_shares(self):
         external = ExternalRaceDistribution.census_from_counts(
@@ -788,27 +812,92 @@ class TestExternalDistribution:
         assert external.p1_for(None) == 0.8
 
     def test_survey_pooled_share_is_weighted(self):
-        respondents = SurveyRespondents.from_rows([(1, "s", 3.0), (0, "s", 1.0)])
-        external = ExternalRaceDistribution.from_survey(respondents)
+        external = survey([(1, "s", 3.0), (0, "s", 1.0)])
         assert external.p1_for(None) == pytest.approx(0.75)
         assert external.p1_for("s") == pytest.approx(0.75)
 
-    def test_share_only_multi_stratum_has_no_pooled_value(self):
-        external = census({"a": 0.2, "b": 0.4})
-        assert external.p1_for(None) is None
+    def test_census_pool_sums_every_stratum(self):
+        external = ExternalRaceDistribution.census_from_counts(
+            {"a": (20.0, 80.0), "b": (40.0, 60.0), "empty": (0.0, 0.0)}
+        )
+        assert external.p1_for(None) == 0.3
         assert census({"only": 0.2}).p1_for(None) == 0.2
 
     def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            SurveyRespondents.from_rows([(1, "s", -1.0)])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            survey([(1, "s", -1.0)])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ExternalRaceDistribution.census_from_counts({"s": (1.0, math.inf)})
 
-    def test_kind_follows_respondents(self):
-        respondents = SurveyRespondents.from_rows([(1, "s", 1.0), (0, "s", 1.0)])
-        assert ExternalRaceDistribution.from_survey(respondents).respondents is respondents
-        assert ExternalRaceDistribution(shares={"s": 0.5}).respondents is None
-        assert census({"s": 0.5}).respondents is None
+    def test_only_a_survey_is_resampled(self):
+        assert survey([(1, "s", 1.0), (0, "s", 1.0)]).resampled
+        assert not census({"s": 0.5}).resampled
         with pytest.raises(TypeError):
-            ExternalRaceDistribution(kind="survey-resampled", shares={"s": 0.5})
+            ExternalRaceDistribution(shares={"s": 0.5})
+
+    def test_repeated_cells_add_up(self):
+        cells = [(1, 2.0), (0, 1.0), (1, 2.0), (1, 0.5), (0, 1.0)]
+        external = ExternalRaceDistribution.from_cells(("b", "a"), [0, 0, 0, 1, 1], cells, [1] * 5)
+        assert external.cells.tolist() == [[0, 1], [1, 2], [0, 1], [1, 0.5], [0, 1], [1, 0.5], [1, 2]]
+        assert external.sizes.tolist() == [1, 2, 1, 1, 2, 1, 2]
+        assert external.bounds.tolist() == [0, 2, 4, 7]
+        assert (external.p1_for("b"), external.p1_for("a")) == (0.8, 1 / 3)
+
+    @given(st.dictionaries(st.text(max_size=3), st.tuples(population_counts, population_counts)))
+    @settings(max_examples=200, deadline=None)
+    def test_census_stratum_share_is_the_counts_ratio(self, counts):
+        external = ExternalRaceDistribution.census_from_counts(counts)
+        for key, (c1, c0) in counts.items():
+            want = c1 / (c1 + c0) if c1 + c0 > 0 else None
+            assert float_bits(external.p1_for(key)) == float_bits(want), key
+
+    @given(st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 10**9)), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_census_pooled_share_is_exact_for_integer_counts(self, rows):
+        external = ExternalRaceDistribution.census_from_counts(
+            {f"s{i}": (float(c1), float(c0)) for i, (c1, c0) in enumerate(rows)}
+        )
+        c1, total = sum(c for c, _ in rows), sum(c1 + c0 for c1, c0 in rows)
+        assert external.p1_for(None) == (c1 / total if total else None)  # int division rounds once
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(0, 1), population_counts),
+            st.integers(1, 5),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_census_and_survey_of_the_same_cells_share_every_point(self, counts):
+        rows = [(d, key, weight) for (key, d, weight), n in counts.items() for _ in range(n)]
+        respondents = survey(rows)
+        keys = tuple(dict.fromkeys(key for key, _, _ in counts))
+        fixed = ExternalRaceDistribution.from_cells(
+            keys,
+            [keys.index(key) for key, _, _ in counts],
+            [cell for _, *cell in counts],
+            list(counts.values()),
+        )
+        assert respondents.resampled and not fixed.resampled
+        for key in (*keys, None, "absent"):
+            assert float_bits(fixed.p1_for(key)) == float_bits(respondents.p1_for(key)), key
+
+    @given(
+        st.dictionaries(st.sampled_from(["a", "b"]), st.tuples(population_counts, population_counts)),
+        st.sampled_from(["a", "b", None]),
+        st.integers(2, 50),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_census_draws_nothing(self, counts, x, replicates, seed):
+        external = sensitivity_mixture(ExternalRaceDistribution.census_from_counts(counts), 0.3, 0.5)
+        for source in (ExternalRaceDistribution.census_from_counts(counts), external):
+            rng = np.random.default_rng(seed)
+            state = rng.bit_generator.state
+            draws = source._share_draws(x, rng, replicates)
+            assert rng.bit_generator.state == state
+            p1 = source.p1_for(x)
+            np.testing.assert_array_equal(draws, np.full(replicates, np.nan if p1 is None else p1))
 
 
 def unique_survey_table(rows):
@@ -842,7 +931,7 @@ class TestDatasets:
     def test_survey_race_outside_zero_one_rejected(self):
         for race in (7, -1):
             with pytest.raises(ValueError, match="d values"):
-                SurveyRespondents.from_rows([(1, "a", 1.0), (race, "a", 1.0)])
+                survey([(1, "a", 1.0), (race, "a", 1.0)])
 
     def test_scope_counts_per_stratum_and_pooled(self):
         rows = [(1, 0, "b"), (0, 1, "a"), (0, 0, "b"), (1, 1, "a"), (1, 1, "b"), (1, 0, "b")]
@@ -867,10 +956,9 @@ class TestDatasets:
         assert naive_risk_ratio(data, x=a) == 1.5
         estimate = bootstrap(naive_risk_ratio, data, x=a, replicates=5, seed=1)
         assert estimate.point == 1.5
-        # str and tuple keys side by side, sorted by their text as strata() sorts them
-        respondents = SurveyRespondents.from_rows([(1, a, 1.0), (0, a, 1.0), (1, "z", 2.0)])
-        assert respondents.shares_by_stratum() == {a: 0.5, "z": 1.0}
-        assert list(respondents.shares_by_stratum()) == sorted([a, "z"], key=str)
+        # str and tuple keys side by side
+        external = survey([(1, a, 1.0), (0, a, 1.0), (1, "z", 2.0)])
+        assert (external.p1_for(a), external.p1_for("z"), external.p1_for(None)) == (0.5, 1.0, 0.75)
 
     def test_listed_strata_are_accepted_by_bootstrap(self):
         # a non-string key is listed as stored, so bootstrap can scope to it
@@ -888,13 +976,13 @@ class TestDatasets:
         d = (rng.random(n) < 0.4).astype(np.int8)
         x = np.array([f"s{k}" for k in rng.integers(0, 4, n)], dtype=object)
         weight = rng.uniform(0.1, 3.0, n)
-        respondents = SurveyRespondents.from_rows(zip(d, x, weight))
+        external = survey(zip(d, x, weight))
         order = rng.permutation(n)
-        shuffled = SurveyRespondents.from_rows(zip(d[order], x[order], weight[order]))
-        assert shuffled.shares_by_stratum() == respondents.shares_by_stratum()
-        assert shuffled.minority_share() == respondents.minority_share()
+        shuffled = survey(zip(d[order], x[order], weight[order]))
+        for key in (*(f"s{k}" for k in range(4)), None):
+            assert shuffled.p1_for(key) == external.p1_for(key), key
         row_sum = np.sum(weight * d) / np.sum(weight)
-        assert respondents.minority_share() == pytest.approx(row_sum, rel=1e-12)
+        assert external.p1_for(None) == pytest.approx(row_sum, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_survey_table_matches_a_unique_over_rows(self, seed):
@@ -906,29 +994,23 @@ class TestDatasets:
         ] + [(1, "z", 0.0), (0, "z", 0.0)]
         rows += [rows[i] for i in rng.integers(0, len(rows), 150)]  # duplicated rows
         rows = [rows[i] for i in rng.permutation(len(rows))]
-        respondents = SurveyRespondents.from_rows(rows)
+        external = survey(rows)
         expected = unique_survey_table(rows)
-        assert respondents.table.keys() == expected.keys()
-        for key, (cells, counts) in expected.items():
-            got_cells, got_counts = respondents.table[key]
-            assert (got_cells.dtype, got_counts.dtype) == (cells.dtype, counts.dtype) == (
-                np.float64, np.int64
-            )
-            assert got_cells.tolist() == cells.tolist(), key
-            assert got_counts.tolist() == counts.tolist(), key
+        assert {*external.keys, None} == expected.keys()
+        assert (external.cells.dtype, external.sizes.dtype) == (np.float64, np.int64)
 
         def share(cells, counts):
             total = counts @ cells[:, 1]
             return (counts @ (cells[:, 0] * cells[:, 1])) / total if total > 0 else None
 
-        strata = sorted(key for key in expected if key is not None)
-        assert respondents.shares_by_stratum() == {key: share(*expected[key]) for key in strata}
-        assert respondents.shares_by_stratum()["z"] is None
-        assert respondents.minority_share() == share(*expected[None])
+        for key, (cells, counts) in expected.items():
+            lo, hi, p1 = external._scope(key)
+            assert external.cells[lo:hi].tolist() == cells.tolist(), key
+            assert external.sizes[lo:hi].tolist() == counts.tolist(), key
+            assert p1 == share(cells, counts), key  # eighths: the sums are exact in any order
+        assert external.p1_for("z") is None
         for absent in ("s9", "z "):  # strata with no respondents
-            cells, counts = respondents._scope(absent)
-            assert cells.shape == (0, 2) and counts.tolist() == []
-            assert respondents._share(absent) is None
+            assert external._scope(absent) == (0, 0, None)
 
     def test_columns_round_trip_through_from_columns_and_concat(self):
         rows = [(1, 0, "b"), (0, 1, "a"), (0, 0, 7), (1, 1, "a"), (1, 1, "b")]
