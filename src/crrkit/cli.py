@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import sys
@@ -508,7 +509,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run `main` in a process of its own and exit with its code.
+
+    Freezing the heap once `main` returns leaves interpreter exit no full collection of
+    numpy's import graph to make; stdout and stderr are still flushed and atexit runs.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

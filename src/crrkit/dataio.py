@@ -436,6 +436,9 @@ def load_administrative(
 
 CENSUS_COLUMNS = ("stratum", "count_d1", "count_d0")
 
+#: A census count: ASCII decimals with an optional exponent, as R writes 1e+05.
+CENSUS_COUNT = re.compile(r"-?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?")
+
 
 def load_census(path: str | Path) -> tuple[ExternalRaceDistribution, LoadReport]:
     """Load per-stratum population counts into a census-fixed distribution.
@@ -447,8 +450,7 @@ def load_census(path: str | Path) -> tuple[ExternalRaceDistribution, LoadReport]
 
     def parse(values: tuple[str, str], line: int) -> tuple[float, float]:
         tokens = [value.strip() for value in values]
-        # ASCII decimals with an optional exponent, as R writes 1e+05
-        if not all(re.fullmatch(r"-?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?", t) for t in tokens):
+        if not all(CENSUS_COUNT.fullmatch(t) for t in tokens):
             raise UnparseableRowError(f"counts must be decimal numbers, got {tokens}", line)
         c1, c0 = map(float, tokens)
         if not (np.isfinite(c1) and np.isfinite(c0)) or c1 < 0 or c0 < 0:

@@ -1,6 +1,7 @@
 """CLI tests: subcommand behaviour, exit codes, output schema stability."""
 
 import csv
+import gc
 import hashlib
 import importlib
 import io
@@ -342,6 +343,47 @@ def test_verify_imports_only_what_it_runs():
         ["crrkit.cli", "crrkit.errors", "crrkit.model", "crrkit.report", "crrkit.simulate",
          "crrkit.verify"]
     )
+
+
+@pytest.mark.parametrize("exit_code", [0, 1, 2])
+def test_entrypoint_freezes_the_heap_after_main_and_exits_with_its_code(
+    monkeypatch, exit_code
+):
+    import crrkit.cli
+
+    calls = []
+    monkeypatch.setattr(crrkit.cli, "main", lambda: calls.append("main") or exit_code)
+    # recorded, not run: a frozen heap would outlive this test in the test process
+    monkeypatch.setattr(crrkit.cli.gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exited:
+        crrkit.cli.entrypoint()
+    assert exited.value.code == exit_code
+    assert calls == ["main", "freeze"]
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys, strata_inputs):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, SENSITIVITY_ARGV)[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (ESTIMATE_STRATA_ARGV, 0),
+        # 50 draws of seed 1729 hold no ATE_M1 sign-reversal witness
+        (["verify", "--draws", "50", "--oracle-n", "1000"], 1),
+        (["estimate", "--admin", "admin.csv", "--bootstrap", "1"], 2),
+    ],
+)
+def test_cli_process_prints_and_exits_as_main_in_process(capsys, strata_inputs, argv, exit_code):
+    src = str(Path(crrkit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "crrkit.cli", *argv], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, argv)
+    assert done.returncode == exit_code
 
 
 def test_package_exports_resolve():
