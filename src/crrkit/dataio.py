@@ -615,14 +615,16 @@ def _write_csv(
 ) -> None:
     """Write ``header``, then the row ``row_of(c)`` for each ``c`` in ``code``.
 
-    Each distinct code's line is formatted by the csv module once.
+    Each code that occurs has its line formatted by the csv module once; the others stay None.
     """
     format_row = csv.writer(_Echo()).writerow
-    distinct, inverse = np.unique(code, return_inverse=True)
-    lines = np.array([format_row(row_of(c)) for c in distinct.tolist()], dtype=object)
+    seen = np.bincount(code)
+    lines = np.empty(len(seen), dtype=object)
+    used = np.flatnonzero(seen)
+    lines[used] = [format_row(row_of(c)) for c in used.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(format_row(header))
-        handle.write("".join(lines[inverse].tolist()))
+        handle.write("".join(np.take(lines, code).tolist()))
 
 
 def write_encounters(table: EncounterTable, path: str | Path) -> None:
@@ -636,8 +638,8 @@ def write_encounters(table: EncounterTable, path: str | Path) -> None:
 
 def write_administrative(dataset: AdministrativeDataset, path: str | Path) -> None:
     """Write detainment records in the default schema (columns d, y, x)."""
-    keys = [str(key) for key in dataset.keys]
-    _write_csv(path, ("d", "y", "x"), dataset.cell, lambda c: (c >> 1 & 1, c & 1, keys[c >> 2]))
+    keys = dataset.keys
+    _write_csv(path, ("d", "y", "x"), dataset.cell, lambda c: (c >> 1 & 1, c & 1, str(keys[c >> 2])))
 
 
 def write_oracle_report(

@@ -30,6 +30,8 @@ if TYPE_CHECKING:  # estimate loads only when a projection below runs, so verify
 
 #: Number of distinct cell codes: d and y01, y11 take one bit each, s two.
 CELLS = 32
+#: Rows per step of the passes that sample encounters and count their cell codes.
+BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,14 @@ def cell_values(*columns: str) -> list[tuple[int, ...]]:
     return list(zip(*(getattr(cells, name).tolist() for name in columns)))
 
 
+def _cell_counts(table: EncounterTable) -> np.ndarray:
+    """The row count of each cell code, counted a block at a time: bincount copies to intp."""
+    counts = np.zeros(CELLS, dtype=np.int64)
+    for lo in range(0, table.n, BLOCK):
+        counts += np.bincount(table.code[lo : lo + BLOCK].astype(np.intp), minlength=CELLS)
+    return counts
+
+
 def sample_encounters(model: PopulationModel, n: int, seed: int, *, x: str = "all") -> EncounterTable:
     """Draw ``n`` encounters from ``model``; reproducible for fixed inputs."""
     if not isinstance(model, PopulationModel):
@@ -77,25 +87,34 @@ def sample_encounters(model: PopulationModel, n: int, seed: int, *, x: str = "al
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    # fixed draw order (d, s, y01, y11) is part of the reproducibility contract;
-    # each comparison's bool array is viewed as int8 and shifted into its bits of the code
-    code = (rng.random(n) < model.p_d).view(np.int8)
-    u = rng.random(n)
-    # s counts the stratum cuts at or below u, as searchsorted(cuts, u, side="right")
-    for cut in (model.pi_al, model.pi_al + model.pi_mi, model.pi_al + model.pi_mi + model.pi_ma):
-        code += (u >= cut).view(np.int8) << 1
-    del u  # freed before the next draw, so at most one float64 column is alive
-    code |= (rng.random(n) < model.mu_01).view(np.int8) << 3
-    code |= (rng.random(n) < model.mu_11).view(np.int8) << 4
+    cuts = (model.pi_al, model.pi_al + model.pi_mi, model.pi_al + model.pi_mi + model.pi_ma)
+    # fixed draw order (d, s, y01, y11) is part of the reproducibility contract; each column's
+    # bits of the code from its draws u, where s counts the stratum cuts at or below u
+    columns = (
+        lambda u: (u < model.p_d).view(np.int8),
+        lambda u: ((u >= cuts[0]).view(np.int8) + (u >= cuts[1]) + (u >= cuts[2])) << 1,
+        lambda u: (u < model.mu_01).view(np.int8) << 3,
+        lambda u: (u < model.mu_11).view(np.int8) << 4,
+    )
+    code = np.zeros(n, dtype=np.int8)  # allocated before any draw, so a huge n fails first
+    buf = np.empty(min(n, BLOCK))
+    for bits in columns:  # a column in blocks continues the stream as one draw of n would
+        for lo in range(0, n, BLOCK):
+            block = code[lo : lo + BLOCK]
+            block |= bits(rng.random(out=buf[: len(block)]))
     return EncounterTable(code, x=x)
+
+
+#: Each cell code's record cell 2*d + y, or -1 where the encounter is not detained (m = 0).
+_RECORD_CELL = np.array([2 * d + y if m else -1 for m, d, y in cell_values("m", "d", "y")], np.int8)
 
 
 def to_administrative(table: EncounterTable) -> AdministrativeDataset:
     """Project the detained rows (m = 1) to the observable (d, y, x) records."""
     from .estimate import AdministrativeDataset
 
-    detained = EncounterTable(table.code[table.m == 1], table.x)
-    return AdministrativeDataset((2 * detained.d + detained.y).astype(np.int32), (table.x,))
+    cell = np.take(_RECORD_CELL, table.code)
+    return AdministrativeDataset(cell[cell >= 0].astype(np.int32), (table.x,))
 
 
 def external_from_tables(tables: list[EncounterTable]) -> ExternalRaceDistribution:
@@ -110,7 +129,7 @@ def external_from_tables(tables: list[EncounterTable]) -> ExternalRaceDistributi
     # every encounter is a weight-1 cell of its race: cells (0, 1) and (1, 1) per table
     keys: dict[str, int] = {}
     code = [keys.setdefault(t.x, len(keys)) for t in tables]
-    sizes = np.ravel([np.bincount(t.d, minlength=2) for t in tables])
+    sizes = np.ravel([_cell_counts(t).reshape(-1, 2).sum(axis=0) for t in tables])  # by d, bit 0
     cells = np.tile([[0.0, 1.0], [1.0, 1.0]], (len(tables), 1))
     return ExternalRaceDistribution.from_cells(tuple(keys), np.repeat(code, 2), cells, sizes)
 
@@ -216,10 +235,7 @@ def oracle_estimands(table: EncounterTable) -> OracleReport:
     value -> row count map, built from the row count of each cell code and
     that cell's columns.
     """
-    block = 65_536  # rows per bincount, which copies its input to intp
-    counts = np.zeros(CELLS, dtype=np.int64)
-    for lo in range(0, table.n, block):
-        counts += np.bincount(table.code[lo : lo + block].astype(np.intp), minlength=CELLS)
+    counts = _cell_counts(table)
     groups: defaultdict[str, Counter] = defaultdict(Counter)
     cells = cell_values("d", "m0", "m1", "y01", "y11", "m", "y")
     for count, (d, m0, m1, y01, y11, m, y) in zip(counts.tolist(), cells):

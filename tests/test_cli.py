@@ -748,8 +748,9 @@ class TestConfigAndErrors:
         ids=["simulate", "verify"],
     )
     def test_unallocatable_size_is_exit_2(self, capsys, tmp_path, toy_model_file, argv):
-        # 10**15 float64 draws need 7.1 PiB, beyond any user address space, so
-        # the allocation is refused whatever the host's overcommit setting
+        # the first allocation is the 10**15-byte code, 909 TiB, beyond a 47-bit
+        # user address space (128 TiB), so it is refused whatever the host's
+        # overcommit setting
         argv = [a.format(model=toy_model_file, out=tmp_path / "out", huge=10**15) for a in argv]
         code, out, err = run(capsys, argv)
         assert code == 2

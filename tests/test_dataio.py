@@ -1387,6 +1387,24 @@ class TestRoundTrips:
         write_administrative(data, path)
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
+    def test_administrative_export_formats_only_the_keys_that_occur(self, tmp_path):
+        formatted = []
+
+        class Key:
+            def __init__(self, name):
+                self.name = name
+
+            def __str__(self):
+                formatted.append(self.name)
+                return self.name
+
+        keys = tuple(Key(f"k{i}") for i in range(1000))
+        data = AdministrativeDataset(np.array([4 * 999 + 3, 5, 4 * 999 + 3], np.int32), keys)
+        path = tmp_path / "admin.csv"
+        write_administrative(data, path)
+        assert path.read_text() == "d,y,x\n1,1,k999\n0,1,k1\n1,1,k999\n"
+        assert formatted == ["k1", "k999"]
+
     def test_model_file_round_trip(self, tmp_path):
         path = tmp_path / "model.json"
         write_model_file(TOY_MODEL, path)

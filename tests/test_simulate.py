@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crrkit.estimate import bias_factor, naive_risk_ratio
+from crrkit import simulate
+from crrkit.estimate import ExternalRaceDistribution, bias_factor, naive_risk_ratio
 from crrkit.model import Estimand, PopulationModel, estimand_value, weights_of
 from crrkit.simulate import (
     ORACLE_FIELDS,
@@ -24,6 +25,33 @@ from crrkit.verify import TOY_MODEL, closed_form_value, sample_models
 
 def make_model(p_d=0.5, pi=(0.25, 0.25, 0.25, 0.25), mu_01=0.5, mu_11=0.5):
     return PopulationModel(p_d, *pi, mu_01, mu_11)
+
+
+def traced_peak(f, *args):
+    """The peak of the memory that ``f(*args)`` allocates through Python, in bytes."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def reference_columns(model, n, seed):
+    """Every column of ``n`` encounters drawn as one ``rng.random(n)`` call per column."""
+    rng = np.random.default_rng(seed)
+    d = rng.random(n) < model.p_d
+    u = rng.random(n)
+    cuts = (model.pi_al, model.pi_al + model.pi_mi, model.pi_al + model.pi_mi + model.pi_ma)
+    s = (u >= cuts[0]).astype(int) + (u >= cuts[1]) + (u >= cuts[2])
+    y01 = rng.random(n) < model.mu_01
+    y11 = rng.random(n) < model.mu_11
+    m0 = (s == 0) | (s == 2)
+    m1 = (s == 0) | (s == 1)
+    m = np.where(d, m1, m0)
+    y = m & np.where(d, y11, y01)
+    columns = {"d": d, "s": s, "m0": m0, "m1": m1, "y01": y01, "y11": y11, "m": m, "y": y}
+    return {col: values.astype(int) for col, values in columns.items()}
 
 
 class TestSampling:
@@ -86,23 +114,33 @@ class TestSampling:
         # detainment and observed columns follow by consistency
         n, seed = 1003, 11
         table = sample_encounters(TOY_MODEL, n, seed=seed)
-        rng = np.random.default_rng(seed)
-        d = rng.random(n) < TOY_MODEL.p_d
-        u = rng.random(n)
-        cuts = (TOY_MODEL.pi_al, TOY_MODEL.pi_al + TOY_MODEL.pi_mi,
-                TOY_MODEL.pi_al + TOY_MODEL.pi_mi + TOY_MODEL.pi_ma)
-        s = (u >= cuts[0]).astype(int) + (u >= cuts[1]) + (u >= cuts[2])
-        y01 = rng.random(n) < TOY_MODEL.mu_01
-        y11 = rng.random(n) < TOY_MODEL.mu_11
-        m0 = (s == 0) | (s == 2)
-        m1 = (s == 0) | (s == 1)
-        m = np.where(d, m1, m0)
-        y = m & np.where(d, y11, y01)
-        expected = {"d": d, "s": s, "m0": m0, "m1": m1, "y01": y01, "y11": y11, "m": m, "y": y}
-        for col, values in expected.items():
+        for col, values in reference_columns(TOY_MODEL, n, seed).items():
             column = getattr(table, col)
             assert column.dtype == np.int8, col
             assert np.array_equal(column, values.astype(np.int8)), col
+
+    @pytest.mark.parametrize("block", [97, 1])
+    def test_outputs_do_not_depend_on_the_block_size(self, monkeypatch, block):
+        # each column is drawn a block at a time, which continues one draw of n;
+        # the projection and the race counts step through the same blocks
+        monkeypatch.setattr(simulate, "BLOCK", block)
+        model = PopulationModel(0.4, 0.3, 0.2, 0.1, 0.4, 0.3, 0.6)
+        for n in (1, 96, 97, 98, 298):
+            table = sample_encounters(model, n, seed=n)
+            want = reference_columns(model, n, seed=n)
+            code = want["d"] | want["s"] << 1 | want["y01"] << 3 | want["y11"] << 4
+            assert np.array_equal(table.code, code.astype(np.int8)), n
+            admin = to_administrative(table)
+            detained = want["m"] == 1
+            assert np.array_equal(admin.cell, 2 * want["d"][detained] + want["y"][detained]), n
+            assert admin.cell.dtype == np.int32
+            got = external_from_table(table)
+            race_counts = np.bincount(want["d"], minlength=2)
+            ref = ExternalRaceDistribution.from_cells(
+                (table.x,), [0, 0], [[0.0, 1.0], [1.0, 1.0]], race_counts
+            )
+            for name in ("bounds", "cells", "sizes"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), (name, n)
 
     @pytest.mark.parametrize(
         "model, n, seed, digest",
@@ -264,13 +302,12 @@ class TestOracleMatchesRowAverages:
     def test_oracle_memory_stays_blocked(self):
         # bincount copies its input to intp: 8 MB for one unblocked 10^6-row code
         table = sample_encounters(TOY_MODEL, 1_000_000, seed=2)
-        tracemalloc.start()
-        try:
-            oracle_estimands(table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000, peak
+        assert traced_peak(oracle_estimands, table) < 2_000_000
+
+    def test_sampling_memory_stays_blocked(self):
+        # the 1 MB code plus one block of draws and comparisons; a float64 column
+        # and its comparison drawn whole take 11 MB at 10^6 rows
+        assert traced_peak(sample_encounters, TOY_MODEL, 1_000_000, 2) < 3_000_000
 
 
 class TestOracle:
