@@ -25,8 +25,6 @@ from . import report as report_mod
 from .errors import (
     CrrKitError,
     DataError,
-    EstimandUndefinedError,
-    TooManyUndefinedError,
     UnknownStratumError,
     ZeroDenominatorError,
     ZeroMassError,
@@ -38,9 +36,11 @@ if TYPE_CHECKING:  # the commands import dataio, estimate, model, simulate and v
     from .estimate import AdministrativeDataset, ExternalRaceDistribution, Statistic
 
 
-#: The module each name comes from, imported when the name is read (PEP 562). The commands
-#: call these names through this module, so a name patched here, as benchmarks/tracing.py
-#: patches all three, is the one called, and otherwise that module's current function is.
+#: The module each name comes from, imported when the name is read (PEP 562). `verify` calls
+#: run_verification through this module, so a name patched here, as benchmarks/tracing.py
+#: patches all three, is the one called. No command calls bootstrap or stratified_estimates
+#: (estimate and sensitivity call estimate.bootstrap_batch once); their names stay until the
+#: benchmark tracer reads a run trace instead of patching (ROADMAP item 2).
 _LAZY_NAMES = {
     "bootstrap": "estimate", "stratified_estimates": "estimate", "run_verification": "verify"
 }
@@ -337,27 +337,18 @@ class _Request(NamedTuple):
 def _add_rows(
     rep: Report, data: AdministrativeDataset, requests: list[_Request], args: argparse.Namespace
 ) -> None:
-    """Bootstrap each request into one row; an undefined estimate becomes an undefined row."""
+    """One row per request, all bootstrapped in one batch; an undefined estimate is undefined."""
     from .dataio import POOLED_KEY
+    from .estimate import bootstrap_batch
 
-    bootstrap = sys.modules[__name__].bootstrap  # see _LAZY_NAMES
-    for estimand, flags, statistic, external, x, seed in requests:
+    options = dict(level=args.level, replicates=args.bootstrap, haldane=args.haldane)
+    results = bootstrap_batch(data, [request[2:] for request in requests], **options)
+    for (estimand, flags, *_, x, _), estimate in zip(requests, results):
         stratum = POOLED_KEY if x is None else x
         if args.haldane:
             flags += ("haldane",)
-        try:
-            estimate = bootstrap(
-                statistic,
-                data,
-                external,
-                x=x,
-                level=args.level,
-                replicates=args.bootstrap,
-                seed=seed,
-                haldane=args.haldane,
-            )
-        except (EstimandUndefinedError, TooManyUndefinedError) as exc:
-            flags += (report_mod.UNDEFINED, type(exc).__name__)
+        if isinstance(estimate, Exception):
+            flags += (report_mod.UNDEFINED, type(estimate).__name__)
             rep.add_row(ReportRow(stratum, estimand, None, flags=flags))
             continue
         if estimate.undefined_replicates:

@@ -19,16 +19,16 @@ alongside the administrative rows.
 Every statistic depends only on a scope's record counts in the four cells
 2*d + y and, for the adjusted ones, the external minority share p1. Each is
 written once, as an array formula over rows of counts and shares: a point
-estimate is one row, and a bootstrap call evaluates its point (row 0) and all
-its replicates in one call. Resampling n rows with replacement and counting
-them is a multinomial draw over the four cells, so a bootstrap call draws
-every replicate's counts at once from one generator (for survey sources, the
-respondent counts per (race, weight) cell after them).
+estimate is one row, and a bootstrap request is its point (row 0) and its
+replicates. Resampling n rows with replacement and counting them is a
+multinomial draw over the four cells, so a request draws every replicate's
+counts at once from its own generator (for survey sources, the respondent
+counts per (race, weight) cell after them). ``bootstrap_batch`` evaluates the
+rows of all its requests of one statistic in one call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Hashable, Mapping, Sequence
@@ -354,50 +354,57 @@ def _crr(totals: tuple, p1: np.ndarray, haldane: bool) -> tuple[np.ndarray, list
 
 
 def _evaluate(
-    formula: Callable,
-    counts: tuple[int, int, int, int],
-    p1: float | None,
-    x: str | None,
-    haldane: bool,
-    draws: np.ndarray = np.empty((0, 4), np.int64),
-    shares: np.ndarray = np.empty(0),
+    formula: Callable, counts: np.ndarray, p1s: np.ndarray, haldane: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``formula``'s values and first failing rule codes (0: none) on each count row.
+    """``formula``'s values and first failing rule codes (0: none) on each row of ``counts``.
 
-    Row 0, the point, is scope ``x``'s ``counts`` and share ``p1``: raises its error.
-    The ``draws`` and ``shares`` rows follow it.
+    ``counts`` holds k rows of counts in the cells 2*d + y and ``p1s`` their k shares (NaN: none).
     """
-    c00, c01, c10, c11 = np.concatenate(([counts], draws)).T
-    p1s = np.concatenate(([np.nan if p1 is None else p1], shares))
+    c00, c01, c10, c11 = counts.T
     # undefined rows divide by zero, which their codes mark; an overflow is inf, as in Python
     with np.errstate(all="ignore"):
         values, checks = formula((c10 + c11, c00 + c01, c11, c01), p1s, haldane)
     codes = np.zeros(len(values), np.int8)
     for code, failed in reversed(checks):  # the first failing rule writes last
         codes[failed] = code
-    if codes[0]:
-        code = int(codes[0])
-        if code in (NO_SHARE, SHARE_RANGE):  # a NaN share is out of range, not missing
-            code = NO_SHARE if p1 is None else SHARE_RANGE
-        n1, n0 = counts[2] + counts[3], counts[0] + counts[1]
-        c1, c0 = (n1 + 0.5, n0 + 0.5) if haldane else (float(n1), float(n0))
-        error, message = _RULES[code - 1]
-        raise error(message.format(x=x, n1=n1, n0=n0, c1=c1, c0=c0, p1=p1))
     return values, codes
+
+
+def _point_error(
+    code: int, counts: tuple[int, int, int, int], p1: float | None, x: str | None, haldane: bool
+) -> EstimandUndefinedError:
+    """The error of rule ``code`` on scope ``x``'s point: its ``counts`` and share ``p1``."""
+    if code in (NO_SHARE, SHARE_RANGE):  # a NaN share is out of range, not missing
+        code = NO_SHARE if p1 is None else SHARE_RANGE
+    n1, n0 = counts[2] + counts[3], counts[0] + counts[1]
+    c1, c0 = (n1 + 0.5, n0 + 0.5) if haldane else (float(n1), float(n0))
+    error, message = _RULES[code - 1]
+    return error(message.format(x=x, n1=n1, n0=n0, c1=c1, c0=c0, p1=p1))
+
+
+def _point(
+    formula: Callable, data: AdministrativeDataset, p1: float | None, x: str | None, haldane: bool
+) -> float:
+    """``formula`` on scope ``x``'s counts and share ``p1``; raises its first failing rule."""
+    counts = data._scope_counts(x)
+    values, codes = _evaluate(formula, np.array([counts]), _shares(p1, 1), haldane)
+    if codes[0]:
+        raise _point_error(int(codes[0]), counts, p1, x, haldane)
+    return float(values[0])
 
 
 def naive_risk_difference(
     data: AdministrativeDataset, x: str | None = None, *, haldane: bool = False
 ) -> float:
     """Difference in record-level force rates, minority minus majority."""
-    return float(_evaluate(_risk_difference, data._scope_counts(x), None, x, haldane)[0][0])
+    return _point(_risk_difference, data, None, x, haldane)
 
 
 def naive_risk_ratio(
     data: AdministrativeDataset, x: str | None = None, *, haldane: bool = False
 ) -> float:
     """Ratio of record-level force rates; ignores selection into the records."""
-    return float(_evaluate(_risk_ratio, data._scope_counts(x), None, x, haldane)[0][0])
+    return _point(_risk_ratio, data, None, x, haldane)
 
 
 def bias_factor(
@@ -413,8 +420,7 @@ def bias_factor(
     inputs give exact output (e.g. detainment share 0.8 against encounter
     share 0.25 yields 12.0 with no rounding).
     """
-    p1 = external.p1_for(x)
-    return float(_evaluate(_bias_factor, data._scope_counts(x), p1, x, haldane)[0][0])
+    return _point(_bias_factor, data, external.p1_for(x), x, haldane)
 
 
 def crr_identified(
@@ -425,8 +431,7 @@ def crr_identified(
     haldane: bool = False,
 ) -> float:
     """Causal risk ratio: naive risk ratio corrected by the bias factor."""
-    p1 = external.p1_for(x)
-    return float(_evaluate(_crr, data._scope_counts(x), p1, x, haldane)[0][0])
+    return _point(_crr, data, external.p1_for(x), x, haldane)
 
 
 #: Array formula of each built-in statistic, and whether it reads the external share.
@@ -461,34 +466,149 @@ class EstimateWithCI:
 
 Statistic = Callable[..., float]
 
-#: Upper bound on ``replicates``: a call holds replicates x cells int64 draws (four
+#: Upper bound on ``replicates``: a request holds replicates x cells int64 draws (four
 #: record cells plus, for a survey source, one per distinct (race, weight) pair of
 #: the scoped respondents: at most 62 in the CLI's integer-weight modes, up to m
 #: for float weights) and a few float arrays of replicates + 1 shares and terms.
 MAX_REPLICATES = 100_000
 
+#: Count rows per evaluation. A batch runs its draw groups in chunks of about this many
+#: rows (a larger group is a chunk of its own), so its memory does not grow with the number
+#: of requests; a few hundred requests at small B are one chunk.
+CHUNK_ROWS = 1 << 12
 
-def _percentiles(values: Sequence[float], levels: Sequence[float]) -> list[float]:
-    """``np.quantile(values, levels)`` for NaN-free values, bit for bit, without numpy.
 
-    It follows numpy's default ``linear`` method: the virtual index is
-    ``v = (n - 1) * q``; below the last index it interpolates between the
-    order statistics at ``floor(v)`` and ``floor(v) + 1`` with weight
-    ``t = v - floor(v)``, and at or past it both are the last value and the
-    index taken for ``floor(v)`` is -1. np.quantile itself calls np.unique,
+def _percentile_ends(values: np.ndarray, levels: Sequence[float]) -> list[np.ndarray]:
+    """Each row's ``np.quantile`` of its non-NaN values at each of ``levels``, bit for bit.
+
+    One sort of the (rows, B) ``values`` puts each row's NaNs last. numpy's default
+    ``linear`` method takes the virtual index ``v = (n - 1) * q`` of a row's n values; below
+    the last index it interpolates between the order statistics at ``floor(v)`` and
+    ``floor(v) + 1`` with weight ``t = v - floor(v)``, and at or past it both are the last
+    value and the index taken for ``floor(v)`` is -1. Where np.quantile gives NaN from
+    inf - inf, the end is the infinite order statistic (at weight 0, the lower one), so the
+    order statistic itself when both neighbours are equal. np.quantile calls np.unique,
     which imports numpy.ma on first use.
     """
-    ordered = sorted(values)
-    last = len(ordered) - 1
-    result = []
-    for q in levels:
-        v = last * q
-        i = math.floor(v) if v < last else -1
-        a, b = ordered[i], ordered[i + 1 if i >= 0 else -1]
-        t = v - i
-        diff = b - a
-        result.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
-    return result
+    ordered = np.sort(values, axis=1)
+    last = np.count_nonzero(~np.isnan(values), axis=1) - 1
+    rows = np.arange(len(values))
+    ends = []
+    with np.errstate(all="ignore"):  # inf - inf and overflow give NaN and inf, as in Python
+        for q in levels:
+            v = last * q
+            below = v < last
+            i = np.where(below, np.floor(v), -1.0)
+            a = ordered[rows, np.where(below, i, last).astype(np.intp)]
+            b = ordered[rows, np.where(below, i + 1, last).astype(np.intp)]
+            t = v - i
+            diff = b - a
+            end = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+            ends.append(np.where(np.isnan(end), np.where((t == 0) | np.isinf(a), a, b), end))
+    return ends
+
+
+def _bootstrap_groups(
+    data: AdministrativeDataset, requests: Sequence[tuple], groups: list[tuple[tuple, list[int]]],
+    level: float, replicates: int, haldane: bool,
+):
+    """(index, result) of each request in ``groups``: (seed, x) keys, each with the indices of
+    the requests that share its record draws."""
+    counts = np.empty((len(groups), replicates + 1, 4), np.int64)  # the point, then the replicates
+    counts[:, 0] = [data._scope_counts(x) for (_, x), _ in groups]
+    n = counts[:, 0].sum(axis=1)
+    pvals = counts[:, 0] / n[:, None]
+    members, group_of, p1s, survey_rows = [], [], [], {}
+    for g, ((seed, x), indices) in enumerate(groups):
+        rng = np.random.default_rng(seed)
+        counts[g, 1:] = rng.multinomial(n[g], pvals[g], size=replicates)
+        state = None  # the generator after the record draws, where every share draw starts
+        for i in indices:
+            statistic, external = requests[i][:2]
+            reads_share = _FORMULAS[statistic][1]
+            if reads_share and external.resampled:
+                if state is None:
+                    state = rng.bit_generator.state
+                else:
+                    rng.bit_generator.state = state
+                survey_rows[len(members)] = external._share_draws(x, rng, replicates)
+            members.append(i)
+            group_of.append(g)
+            p1s.append(external.p1_for(x) if reads_share else None)
+    shares = np.repeat(np.array(p1s, dtype=float)[:, None], replicates + 1, axis=1)  # None: NaN
+    for j, row in survey_rows.items():
+        shares[j, 1:] = row
+    group_of = np.array(group_of)
+    formulas = [_FORMULAS[requests[i][0]][0] for i in members]
+    values, codes = np.empty(shares.shape), np.empty(shares.shape, np.int8)
+    for formula in dict.fromkeys(formulas):  # every row of one statistic in one evaluation
+        rows = np.flatnonzero([f is formula for f in formulas])
+        rows_counts = counts[group_of[rows]].reshape(-1, 4)
+        got = _evaluate(formula, rows_counts, shares[rows].ravel(), haldane)
+        values[rows], codes[rows] = (column.reshape(len(rows), -1) for column in got)
+    defined = codes[:, 1:] == 0
+    undefined = (replicates - np.count_nonzero(defined, axis=1)).tolist()
+    alpha = 1.0 - level
+    ends = _percentile_ends(np.where(defined, values[:, 1:], np.nan), (alpha / 2, 1 - alpha / 2))
+    points = zip(members, p1s, codes[:, 0].tolist(), values[:, 0].tolist(), undefined)
+    for (i, p1, code, point, missing), lo, hi in zip(points, *(end.tolist() for end in ends)):
+        x, seed = requests[i][2:]
+        if code:
+            yield i, _point_error(code, data._scope_counts(x), p1, x, haldane)
+        elif 2 * missing > replicates:
+            message = f"{missing} of {replicates} bootstrap replicates were undefined"
+            yield i, TooManyUndefinedError(message)
+        else:
+            yield i, EstimateWithCI(point, lo, hi, level, replicates, seed, missing)
+
+
+def bootstrap_batch(
+    data: AdministrativeDataset, requests: Sequence[tuple], *, level: float = 0.95,
+    replicates: int = 1000, haldane: bool = False,
+) -> list[EstimateWithCI | EstimandUndefinedError | TooManyUndefinedError]:
+    """``bootstrap`` of every (statistic, external, x, seed) request, in one pass.
+
+    Each result is what ``bootstrap`` returns for that request, or the EstimandUndefinedError
+    or TooManyUndefinedError it raises; any other error ``bootstrap`` raises, this raises.
+    Requests with the same seed and scope share one record draw from ``default_rng(seed)``,
+    and a survey request's share draws start where that draw ends, as in ``bootstrap``. All
+    rows of one statistic are one evaluation of its array formula, and one sort gives every
+    request's percentiles. Draw groups run in chunks of about ``CHUNK_ROWS`` count rows.
+    """
+    for statistic, external, _, _ in requests:
+        try:
+            reads_share = _FORMULAS[statistic][1]
+        except (KeyError, TypeError):
+            names = ", ".join(f.__name__ for f in _FORMULAS)
+            raise ValueError(f"bootstrap supports only the built-in statistics {names}") from None
+        if reads_share and external is None:
+            raise ValueError(f"{statistic.__name__} needs an external race distribution")
+    if replicates < 2:
+        raise ValueError("bootstrap needs at least 2 replicates")
+    if replicates > MAX_REPLICATES:
+        raise ValueError(f"bootstrap allows at most {MAX_REPLICATES} replicates")
+    if not 0.0 < level < 1.0:
+        raise ValueError("confidence level must lie in (0, 1)")
+    results: list = [None] * len(requests)
+    groups: dict = {}  # (seed, x): the requests that share its record draws
+    for i, (_, _, x, seed) in enumerate(requests):
+        if any(data._scope_counts(x)):
+            groups.setdefault((seed, x), []).append(i)
+        elif x is not None:
+            raise UnknownStratumError(f"stratum {x!r} has no administrative rows")
+        else:
+            results[i] = MissingGroupError("administrative dataset is empty")
+    chunks, rows = [], CHUNK_ROWS
+    for group in groups.items():
+        if rows >= CHUNK_ROWS:
+            chunks.append([])
+            rows = 0
+        chunks[-1].append(group)
+        rows += len(group[1]) * (replicates + 1)
+    for chunk in chunks:
+        for i, result in _bootstrap_groups(data, requests, chunk, level, replicates, haldane):
+            results[i] = result
+    return results
 
 
 def bootstrap(
@@ -513,54 +633,19 @@ def bootstrap(
     distinct (race, weight) cells of the scoped respondents and recomputes
     the share (census shares stay fixed and draw nothing). One evaluation of
     the statistic's array formula gives the point (row 0, drawing nothing) and
-    every replicate. The result depends only on the arguments.
+    every replicate. The result depends only on the arguments. This is the
+    one-request case of ``bootstrap_batch``, which the CLI calls with every
+    row of a command.
 
     Raises ValueError for any other statistic, a missing external, or
     ``replicates`` outside [2, MAX_REPLICATES]; TooManyUndefinedError when
     more than half the replicates are undefined.
     """
-    try:
-        formula, reads_share = _FORMULAS[statistic]
-    except (KeyError, TypeError):
-        names = ", ".join(f.__name__ for f in _FORMULAS)
-        raise ValueError(f"bootstrap supports only the built-in statistics {names}") from None
-    if reads_share and external is None:
-        raise ValueError(f"{statistic.__name__} needs an external race distribution")
-    if replicates < 2:
-        raise ValueError("bootstrap needs at least 2 replicates")
-    if replicates > MAX_REPLICATES:
-        raise ValueError(f"bootstrap allows at most {MAX_REPLICATES} replicates")
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie in (0, 1)")
-    counts = data._scope_counts(x)
-    n = sum(counts)
-    if n == 0:
-        if x is not None:
-            raise UnknownStratumError(f"stratum {x!r} has no administrative rows")
-        raise MissingGroupError("administrative dataset is empty")
-
-    p1 = external.p1_for(x) if reads_share else None
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(n, np.array(counts) / n, size=replicates)
-    shares = external._share_draws(x, rng, replicates) if reads_share else _shares(None, replicates)
-    values, codes = _evaluate(formula, counts, p1, x, haldane, draws, shares)
-    defined = codes[1:] == 0
-    undefined = replicates - int(np.count_nonzero(defined))
-    if 2 * undefined > replicates:
-        raise TooManyUndefinedError(
-            f"{undefined} of {replicates} bootstrap replicates were undefined"
-        )
-    alpha = 1.0 - level
-    lo, hi = _percentiles(values[1:][defined].tolist(), (alpha / 2.0, 1.0 - alpha / 2.0))
-    return EstimateWithCI(
-        point=float(values[0]),
-        lo=float(lo),
-        hi=float(hi),
-        level=level,
-        replicates=replicates,
-        seed=seed,
-        undefined_replicates=undefined,
-    )
+    requests = [(statistic, external, x, seed)]
+    (result,) = bootstrap_batch(data, requests, level=level, replicates=replicates, haldane=haldane)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # -- stratified tables ------------------------------------------------------------

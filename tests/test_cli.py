@@ -562,23 +562,141 @@ class TestEstimate:
         assert naive["flags"].endswith("undefined;TooManyUndefinedError")
 
     def test_one_bootstrap_per_rendered_row(self, capsys, monkeypatch, strata_inputs):
-        import crrkit.cli
+        # one batch holds the command's requests: one per rendered row, none recomputed
         import crrkit.estimate
 
         calls = []
 
-        def counting(original):
-            def wrapper(*args, **kwargs):
-                calls.append(kwargs.get("x"))
-                return original(*args, **kwargs)
+        def counting(data, requests, **options):
+            calls.append(len(requests))
+            return batch(data, requests, **options)
 
-            return wrapper
-
-        for module in (crrkit.cli, crrkit.estimate):
-            monkeypatch.setattr(module, "bootstrap", counting(module.bootstrap))
+        batch = crrkit.estimate.bootstrap_batch
+        monkeypatch.setattr(crrkit.estimate, "bootstrap_batch", counting)
         code, out, _ = run(capsys, ESTIMATE_STRATA_ARGV)
         assert code == 0
-        assert len(calls) == len(parse_csv_rows(out))
+        assert calls == [len(parse_csv_rows(out))]
+
+
+@pytest.fixture
+def equivalence_inputs(tmp_path, monkeypatch):
+    """Admin, census, weighted-survey and config files in the working directory.
+
+    Stratum ``zero`` has no majority force rows, so its points are undefined, and ``few``
+    has three rows, so at large B most of its replicates are undefined.
+    """
+    monkeypatch.chdir(tmp_path)
+    cells = {  # stratum: counts of (d=1,y=1), (d=1,y=0), (d=0,y=1), (d=0,y=0)
+        "a": (6, 14, 4, 16), "b": (3, 9, 5, 23), "zero": (5, 0, 0, 5), "few": (1, 0, 1, 1),
+    }
+    admin = ["d,y,x"]
+    for x, counts in cells.items():
+        for (d, y), count in zip(((1, 1), (1, 0), (0, 1), (0, 0)), counts):
+            admin += [f"{d},{y},{x}"] * count
+    Path("admin.csv").write_text("\n".join(admin) + "\n")
+    Path("census.csv").write_text(
+        "stratum,count_d1,count_d0\na,300,700\nb,450,550\nzero,50,50\nfew,20,80\n"
+    )
+    survey = ["race,contacts,x"]
+    for i, x in enumerate(("a", "b", "zero", "few")):
+        survey += [f"1,{1 + (i + j) % 4},{x}" for j in range(6)]
+        survey += [f"0,{1 + (i * j) % 3},{x}" for j in range(11)]
+    Path("survey.csv").write_text("\n".join(survey) + "\n")
+    Path("config.json").write_text(json.dumps({"schema": {"survey": {"stratum_columns": ["x"]}}}))
+
+
+class TestOneBatchPerCommand:
+    """``estimate`` and ``sensitivity`` bootstrap all their rows in one batch."""
+
+    @pytest.mark.parametrize("replicates", ["2", "1000"])
+    @pytest.mark.parametrize("haldane", [[], ["--haldane"]], ids=["plain", "haldane"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["estimate", "--census", "census.csv", "--survey", "survey.csv",
+             "--survey-mode", "weighted", "--config", "config.json", "--strata", "all"],
+            ["sensitivity", "--census", "census.csv", "--lambda", "0.6",
+             "--citywide-p1", "0.4", "--strata", "all"],
+        ],
+        ids=["estimate", "sensitivity"],
+    )
+    def test_every_row_equals_a_lone_bootstrap_call(
+        self, capsys, monkeypatch, equivalence_inputs, command, haldane, replicates
+    ):
+        import crrkit.estimate
+        from crrkit.errors import (
+            EstimandUndefinedError, TooManyUndefinedError, ZeroDenominatorError
+        )
+        from crrkit.estimate import bootstrap
+
+        batches = []
+
+        def recording(data, requests, **options):
+            results = batch(data, requests, **options)
+            batches.append((data, requests, options, results))
+            return results
+
+        batch = crrkit.estimate.bootstrap_batch
+        monkeypatch.setattr(crrkit.estimate, "bootstrap_batch", recording)
+        argv = [*command, "--admin", "admin.csv", *haldane, "--bootstrap", replicates,
+                "--seed", "5", "--format", "csv"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        [(data, requests, options, results)] = batches
+        rows = parse_csv_rows(out)
+        assert len(rows) == len(requests) == len(results)
+        kinds = set()
+        for row, (statistic, external, x, seed), result in zip(rows, requests, results):
+            try:
+                lone = bootstrap(statistic, data, external, x=x, seed=seed, **options)
+            except (EstimandUndefinedError, TooManyUndefinedError) as exc:
+                lone = exc
+            kinds.add(type(lone))
+            if isinstance(lone, Exception):
+                assert (type(result), str(result)) == (type(lone), str(lone))
+                assert row["point"] == "undefined"
+                assert row["flags"].endswith(type(lone).__name__)
+                continue
+            assert result == lone
+            assert [row[k] for k in ("point", "lo", "hi")] == [
+                f"{v:.10g}" for v in (lone.point, lone.lo, lone.hi)
+            ]
+            flag = f"undefined_replicates={lone.undefined_replicates}"
+            assert (flag in row["flags"].split(";")) == (lone.undefined_replicates > 0)
+        if not haldane:  # the 0.5 correction leaves every row here defined
+            assert ZeroDenominatorError in kinds  # stratum zero's points
+            assert (TooManyUndefinedError in kinds) == (replicates == "1000")  # stratum few
+
+    def test_sensitivity_evaluates_once_with_one_generator_per_stratum(
+        self, capsys, monkeypatch, strata_inputs
+    ):
+        # the unmixed and mixed rows of a stratum share its record draw
+        import numpy as np
+
+        import crrkit.estimate
+
+        counts = {"crr": 0, "rng": 0}
+        crr, reads_share = crrkit.estimate._FORMULAS[crrkit.estimate.crr_identified]
+        default_rng = np.random.default_rng
+
+        def counting_crr(*args):
+            counts["crr"] += 1
+            return crr(*args)
+
+        def counting_rng(*args, **kwargs):
+            counts["rng"] += 1
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setitem(
+            crrkit.estimate._FORMULAS, crrkit.estimate.crr_identified, (counting_crr, reads_share)
+        )
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        code, out, _ = run(capsys, SENSITIVITY_ARGV)
+        assert code == 0
+        strata = {row["stratum"] for row in parse_csv_rows(out)}
+        assert len(parse_csv_rows(out)) == 2 * len(strata) == 10
+        # one generator for the per-stratum seeds, then one per stratum
+        assert counts == {"crr": 1, "rng": 1 + len(strata)}
 
 
 class TestSensitivity:

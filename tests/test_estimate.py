@@ -23,9 +23,10 @@ from crrkit.estimate import (
     AdministrativeDataset,
     EstimateWithCI,
     ExternalRaceDistribution,
-    _percentiles,
+    _percentile_ends,
     bias_factor,
     bootstrap,
+    bootstrap_batch,
     crr_identified,
     naive_risk_difference,
     naive_risk_ratio,
@@ -503,37 +504,135 @@ class TestCountPathMatchesRowPath:
 
 
 class TestPercentiles:
-    """``bootstrap``'s interval ends equal np.quantile's default linear method to the bit."""
+    """The batch's interval ends equal np.quantile's default linear method to the bit."""
 
     @given(
-        st.lists(
-            st.one_of(
-                st.floats(allow_nan=False),  # infinities included
-                st.integers(-4, 4).map(float),  # ties, integers stored as floats
-            ),
-            min_size=1,
-            max_size=40,
+        st.integers(1, 40).flatmap(
+            lambda size: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.floats(allow_nan=False),  # infinities included
+                        st.integers(-4, 4).map(float),  # ties, integers stored as floats
+                        st.just(math.nan),  # an undefined replicate
+                    ),
+                    min_size=size,
+                    max_size=size,
+                ),
+                min_size=1,
+                max_size=5,
+            )
         ),
         st.one_of(
             st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
             st.sampled_from([1e-12, 2.0**-53, 0.95, 1.0 - 2.0**-53, 1.0 - 1e-12]),
         ),
     )
-    @example([-0.0], 0.95)  # past the last index numpy's weight is v + 1, which keeps the sign
+    @example([[-0.0]], 0.95)  # past the last index numpy's weight is v + 1, which keeps the sign
+    @example([[2.0, 2.0, 2.0], [math.nan, 7.0, math.nan], [math.nan] * 3], 0.95)
+    @example([[1.0, math.inf], [math.inf, math.inf], [-math.inf, 1.0]], 0.95)
     @settings(max_examples=400, deadline=None)
-    def test_matches_numpy_quantile(self, values, level):
-        if len({math.copysign(1.0, v) for v in values if v == 0.0}) == 2:
-            # signed zeros tie, and np.quantile's partition leaves their order unspecified
-            values = [v + 0.0 for v in values]
+    def test_matches_numpy_quantile(self, rows, level):
+        for r, row in enumerate(rows):
+            if len({math.copysign(1.0, v) for v in row if v == 0.0}) == 2:
+                # signed zeros tie, and np.quantile's partition leaves their order unspecified
+                rows[r] = [v + 0.0 for v in row]
         alpha = 1.0 - level
         levels = (alpha / 2.0, 1.0 - alpha / 2.0)
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in the interpolation
-            expected = np.quantile(values, list(levels)).tolist()
-        for got, want in zip(_percentiles(values, levels), expected):
-            if math.isnan(want):
-                assert math.isnan(got)
-            else:
-                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        ends = _percentile_ends(np.array(rows), levels)
+        for r, row in enumerate(rows):
+            defined = [v for v in row if not math.isnan(v)]
+            if not defined:
+                continue  # a request with no defined replicate has too many undefined
+            got = [end[r] for end in ends]
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in the interpolation
+                expected = np.quantile(defined, list(levels)).tolist()
+            for value, want in zip(got, expected):
+                if math.isnan(want):  # inf - inf: an order statistic instead
+                    assert value in defined
+                else:
+                    assert value == want and math.copysign(1.0, value) == math.copysign(1.0, want)
+            assert got[0] <= got[1]
+
+    @pytest.mark.parametrize(
+        "values, lo, hi",
+        [
+            ([1.0, math.inf], math.inf, math.inf),  # np.quantile: (inf, nan)
+            ([math.inf, math.inf], math.inf, math.inf),  # (nan, nan)
+            ([-math.inf, -math.inf], -math.inf, -math.inf),
+            ([-math.inf, 1.0], -math.inf, -math.inf),  # (nan, -inf)
+            ([3.0, math.inf, math.nan], math.inf, math.inf),
+        ],
+    )
+    def test_infinite_replicates_give_no_nan_end(self, values, lo, hi):
+        got = [end[0] for end in _percentile_ends(np.array([values]), (0.025, 0.975))]
+        assert got == [lo, hi]
+
+    def test_census_share_near_zero_gives_no_nan_interval(self):
+        # a census share of 1 / (1 + 1e308): bias factors overflow to inf on some replicates
+        data = dataset([(1, 1, "a"), (1, 0, "a"), (0, 1, "a"), (0, 0, "a"), (1, 1, "a")])
+        source = ExternalRaceDistribution.census_from_counts({"a": (1.0, 1e308)})
+        for statistic in (bias_factor, crr_identified):
+            est = bootstrap(statistic, data, source, replicates=1000, seed=1729)
+            assert not math.isnan(est.lo) and not math.isnan(est.hi)
+            assert est.lo <= est.hi == math.inf
+
+
+class TestBootstrapBatch:
+    """Every request of a batch gets what a lone ``bootstrap`` call gives it."""
+
+    @staticmethod
+    def lone(data, request, **options):
+        statistic, external, x, seed = request
+        try:
+            return bootstrap(statistic, data, external, x=x, seed=seed, **options)
+        except (EstimandUndefinedError, TooManyUndefinedError) as exc:
+            return exc
+
+    @staticmethod
+    def same(got, want):
+        if isinstance(want, Exception):
+            return type(got) is type(want) and str(got) == str(want)
+        return got == want
+
+    def test_requests_match_lone_calls_in_any_chunking(self, monkeypatch):
+        table = sample_encounters(TOY_MODEL, 4000, seed=5)
+        data = to_administrative(table)
+        zero = dataset([(1, 1, "z"), (0, 0, "z")] * 3)  # no majority force: the point fails
+        few = dataset([(1, 1, "f"), (0, 1, "f"), (0, 0, "f")])  # too many undefined at large B
+        data = AdministrativeDataset.concat([data, zero, few])
+        weighted = survey_source([(1, key, 2.0) for key in ("all", "z")] * 9
+                                 + [(0, key, 1.0) for key in ("all", "z", "f")] * 14)
+        fixed = census({"all": 0.3, "z": 0.5, "f": None})
+        mixed = sensitivity_mixture(fixed, 0.4, 0.5)
+        requests = [
+            (naive_risk_ratio, None, None, 3),
+            (naive_risk_difference, None, "all", 3),
+            (crr_identified, weighted, "all", 3),  # two survey requests share one record draw
+            (bias_factor, weighted, "all", 3),
+            (crr_identified, fixed, "all", 3),
+            (crr_identified, mixed, "all", 3),
+            (naive_risk_ratio, None, "z", 4),
+            (crr_identified, weighted, "z", 4),
+            (naive_risk_ratio, None, "f", 5),
+            (crr_identified, fixed, "f", 6),
+        ]
+        for replicates, haldane in ((2, False), (1000, False), (1000, True)):
+            options = dict(level=0.9, replicates=replicates, haldane=haldane)
+            expected = [self.lone(data, request, **options) for request in requests]
+            if (replicates, haldane) == (1000, False):  # a failing point, too many undefined
+                assert {ZeroDenominatorError, TooManyUndefinedError} <= set(map(type, expected))
+            for chunk_rows in (1, 3 * (replicates + 1), 1 << 16):
+                monkeypatch.setattr("crrkit.estimate.CHUNK_ROWS", chunk_rows)
+                got = bootstrap_batch(data, requests, **options)
+                assert all(map(self.same, got, expected)), (replicates, haldane, chunk_rows)
+
+    def test_empty_pool_and_unknown_stratum(self):
+        empty = dataset([])
+        (got,) = bootstrap_batch(empty, [(naive_risk_ratio, None, None, 1)], replicates=10)
+        assert isinstance(got, MissingGroupError)
+        with pytest.raises(UnknownStratumError):
+            bootstrap_batch(SIMPLE, [(naive_risk_ratio, None, "missing", 1)], replicates=10)
+        assert bootstrap_batch(SIMPLE, [], replicates=10) == []
 
 
 # The scalar form each built-in statistic had before it became one array formula:
