@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--haldane",
             action=argparse.BooleanOptionalAction,
-            help="apply the +0.5 cell correction to zero cells (exploratory)",
+            help="add 0.5 to each record count cell of every scope (exploratory)",
         )
 
     p = sub.add_parser("estimate", help="naive and selection-adjusted risk ratios from data")
@@ -196,10 +196,6 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         if getattr(args, name, None) is None:
             flag = "--" + CONFIG_ALIASES.get(name, name).replace("_", "-")
             raise DataError(f"{args.subcommand}: {flag} is required (flag or config)")
-
-
-def _fresh_seeds(seed: int, count: int) -> list[int]:
-    return [int(s) for s in np.random.default_rng(seed).integers(0, 2**63, size=count)]
 
 
 def _note(text: str) -> None:
@@ -331,19 +327,26 @@ class _Request(NamedTuple):
     statistic: Statistic
     external: ExternalRaceDistribution | None
     x: str | None
-    seed: int
 
 
 def _add_rows(
     rep: Report, data: AdministrativeDataset, requests: list[_Request], args: argparse.Namespace
 ) -> None:
-    """One row per request, all bootstrapped in one batch; an undefined estimate is undefined."""
+    """One row per request, all bootstrapped in one batch; an undefined estimate is undefined.
+
+    The i-th scope the requests name takes index i of one seed draw, so the rows of a scope
+    share its record draw.
+    """
     from .dataio import POOLED_KEY
     from .estimate import bootstrap_batch
 
+    scopes = list(dict.fromkeys(request.x for request in requests))
+    seeds = np.random.default_rng(args.seed).integers(0, 2**63, size=len(scopes)).tolist()
+    seed_of = dict(zip(scopes, seeds))
+    batch = [(r.statistic, r.external, r.x, seed_of[r.x]) for r in requests]
     options = dict(level=args.level, replicates=args.bootstrap, haldane=args.haldane)
-    results = bootstrap_batch(data, [request[2:] for request in requests], **options)
-    for (estimand, flags, *_, x, _), estimate in zip(requests, results):
+    results = bootstrap_batch(data, batch, **options)
+    for (estimand, flags, *_, x), estimate in zip(requests, results):
         stratum = POOLED_KEY if x is None else x
         if args.haldane:
             flags += ("haldane",)
@@ -361,7 +364,7 @@ def cmd_estimate(args: argparse.Namespace, config: dict) -> int:
 
     _require(args, "admin")
     data, load_rep, externals = _load_inputs(args, config)
-    strata = _parse_strata(args, data)
+    strata = _parse_strata(args, data) or []
 
     rep = Report("estimate")
     rep.add_header("admin", args.admin)
@@ -372,34 +375,24 @@ def cmd_estimate(args: argparse.Namespace, config: dict) -> int:
     rep.add_header("haldane", args.haldane)
     rep.add_header("dropped_rows", load_rep.n_dropped)
 
-    seeds = _fresh_seeds(args.seed, 2 + 2 * len(externals))
-    requests = [
-        _Request("naive-rd", ("naive",), naive_risk_difference, None, None, seeds[0]),
-        _Request("naive-rr", ("naive",), naive_risk_ratio, None, None, seeds[1]),
-    ]
-    for (label, external), bf_seed, crr_seed in zip(externals, seeds[2::2], seeds[3::2]):
-        requests += [
-            _Request("bias-factor", ("bias-factor", label), bias_factor, external, None, bf_seed),
-            _Request("adjusted-crr", ("adjusted", label), crr_identified, external, None, crr_seed),
-        ]
+    def adjusted(label: str, external: ExternalRaceDistribution, x: str | None) -> _Request:
+        return _Request("adjusted-crr", ("adjusted", label), crr_identified, external, x)
 
-    if strata is not None:
-        # stratum i: the naive row takes seed 2i and every external's adjusted row 2i + 1
-        seeds = _fresh_seeds(args.seed, 2 * len(strata))
-        adjusted = [
-            [
-                _Request("adjusted-crr", ("adjusted", label), crr_identified, external, key, seed)
-                for key, seed in zip(strata, seeds[1::2])
-            ]
-            for label, external in externals
+    requests = [
+        _Request("naive-rd", ("naive",), naive_risk_difference, None, None),
+        _Request("naive-rr", ("naive",), naive_risk_ratio, None, None),
+    ]
+    for label, external in externals:
+        requests += [
+            _Request("bias-factor", ("bias-factor", label), bias_factor, external, None),
+            adjusted(label, external, None),
         ]
-        # the first external's rows interleave with the naive rows; the others follow
-        for i, (key, seed) in enumerate(zip(strata, seeds[::2])):
-            requests.append(_Request("naive-rr", ("naive",), naive_risk_ratio, None, key, seed))
-            if adjusted:
-                requests.append(adjusted[0][i])
-        for rows in adjusted[1:]:
-            requests += rows
+    # the first external's stratum rows interleave with the naive rows; the others follow
+    for key in strata:
+        requests.append(_Request("naive-rr", ("naive",), naive_risk_ratio, None, key))
+        requests += [adjusted(label, external, key) for label, external in externals[:1]]
+    for label, external in externals[1:]:
+        requests += [adjusted(label, external, key) for key in strata]
 
     _add_rows(rep, data, requests, args)
     print(render(rep, args.format), end="")
@@ -424,10 +417,10 @@ def cmd_sensitivity(args: argparse.Namespace, config: dict) -> int:
     rep.add_header("level", args.level)
     rep.add_header("haldane", args.haldane)
 
-    # same per-stratum seed for both variants: differences are mixture-only
+    # both variants of a stratum share its record draw: differences are mixture-only
     requests = [
-        _Request("adjusted-crr", ("adjusted", variant), crr_identified, source, key, seed)
-        for key, seed in zip(keys, _fresh_seeds(args.seed, len(keys)))
+        _Request("adjusted-crr", ("adjusted", variant), crr_identified, source, key)
+        for key in keys
         for variant, source in (("unmixed", external), ("mixed", mixed))
     ]
     _add_rows(rep, data, requests, args)

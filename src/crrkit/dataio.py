@@ -41,7 +41,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping, Sequence
@@ -217,14 +217,20 @@ def _count_lines(handle, key: Callable[[list[str]], Hashable], tally: Callable) 
     None, with nothing tallied, unless every line is one csv record that the
     csv module accepts; the caller's csv record pass then decides the outcome.
     """
+    lines: Counter = Counter()  # counted in C, in first-occurrence order
+    size = 1 << 12
     try:
-        first = handle.readline()  # "" when no line follows the header
-        if '"' in first:  # every line quoted, as R's write.csv writes: spare the count
-            return None
-        lines = Counter(chain((first,), handle) if first else ())  # in C, first-occurrence order
+        line = next(handle, "")  # the first line of each block; "" at the end of the file
+        while line:
+            seen = len(lines)
+            lines[line] += 1
+            lines.update(islice(handle, size - 1))
+            # a quoted field may span lines, so the first block that holds a quote ends the
+            # count; blocks double, which keeps the scan of each block's new lines linear
+            if any('"' in new for new in islice(lines, seen, None)):
+                return None
+            line, size = next(handle, ""), 2 * size
     except UnicodeDecodeError:  # the record pass may meet a csv error first
-        return None
-    if any('"' in line for line in lines):  # a quoted field may span lines
         return None
     try:
         return tally(zip(map(key, csv.reader(lines)), lines.values()))

@@ -23,8 +23,9 @@ estimate is one row, and a bootstrap request is its point (row 0) and its
 replicates. Resampling n rows with replacement and counting them is a
 multinomial draw over the four cells, so a request draws every replicate's
 counts at once from its own generator (for survey sources, the respondent
-counts per (race, weight) cell after them). ``bootstrap_batch`` evaluates the
-rows of all its requests of one statistic in one call.
+counts per (race, weight) cell after them). ``bootstrap_batch`` draws once
+for all its requests with one seed and scope, and evaluates the rows of all
+its requests of one statistic in one call.
 """
 
 from __future__ import annotations
@@ -452,7 +453,8 @@ class EstimateWithCI:
 
     ``lo <= point <= hi`` is not guaranteed for skewed, tiny samples, but
     ``lo <= hi`` always holds. Replicates on which the statistic is undefined
-    are counted in ``undefined_replicates`` and excluded from the percentiles.
+    (a rule fails, or it is NaN) are counted in ``undefined_replicates`` and
+    excluded from the percentiles.
     """
 
     point: float
@@ -513,7 +515,7 @@ def _bootstrap_groups(
     level: float, replicates: int, haldane: bool,
 ):
     """(index, result) of each request in ``groups``: (seed, x) keys, each with the indices of
-    the requests that share its record draws."""
+    the requests that share its record draw and each survey source's share draw."""
     counts = np.empty((len(groups), replicates + 1, 4), np.int64)  # the point, then the replicates
     counts[:, 0] = [data._scope_counts(x) for (_, x), _ in groups]
     n = counts[:, 0].sum(axis=1)
@@ -522,16 +524,16 @@ def _bootstrap_groups(
     for g, ((seed, x), indices) in enumerate(groups):
         rng = np.random.default_rng(seed)
         counts[g, 1:] = rng.multinomial(n[g], pvals[g], size=replicates)
-        state = None  # the generator after the record draws, where every share draw starts
+        after_records = rng.bit_generator.state  # where each survey source's share draws start
+        share_draws = {}  # survey source: its one share draw in this group
         for i in indices:
             statistic, external = requests[i][:2]
             reads_share = _FORMULAS[statistic][1]
             if reads_share and external.resampled:
-                if state is None:
-                    state = rng.bit_generator.state
-                else:
-                    rng.bit_generator.state = state
-                survey_rows[len(members)] = external._share_draws(x, rng, replicates)
+                if external not in share_draws:
+                    rng.bit_generator.state = after_records
+                    share_draws[external] = external._share_draws(x, rng, replicates)
+                survey_rows[len(members)] = share_draws[external]
             members.append(i)
             group_of.append(g)
             p1s.append(external.p1_for(x) if reads_share else None)
@@ -546,10 +548,10 @@ def _bootstrap_groups(
         rows_counts = counts[group_of[rows]].reshape(-1, 4)
         got = _evaluate(formula, rows_counts, shares[rows].ravel(), haldane)
         values[rows], codes[rows] = (column.reshape(len(rows), -1) for column in got)
-    defined = codes[:, 1:] == 0
-    undefined = (replicates - np.count_nonzero(defined, axis=1)).tolist()
+    kept = np.where(codes[:, 1:] == 0, values[:, 1:], np.nan)  # NaN: undefined, 0 * inf too
+    undefined = np.count_nonzero(np.isnan(kept), axis=1).tolist()
     alpha = 1.0 - level
-    ends = _percentile_ends(np.where(defined, values[:, 1:], np.nan), (alpha / 2, 1 - alpha / 2))
+    ends = _percentile_ends(kept, (alpha / 2, 1 - alpha / 2))
     points = zip(members, p1s, codes[:, 0].tolist(), values[:, 0].tolist(), undefined)
     for (i, p1, code, point, missing), lo, hi in zip(points, *(end.tolist() for end in ends)):
         x, seed = requests[i][2:]
@@ -571,9 +573,11 @@ def bootstrap_batch(
     Each result is what ``bootstrap`` returns for that request, or the EstimandUndefinedError
     or TooManyUndefinedError it raises; any other error ``bootstrap`` raises, this raises.
     Requests with the same seed and scope share one record draw from ``default_rng(seed)``,
-    and a survey request's share draws start where that draw ends, as in ``bootstrap``. All
-    rows of one statistic are one evaluation of its array formula, and one sort gives every
-    request's percentiles. Draw groups run in chunks of about ``CHUNK_ROWS`` count rows.
+    and their requests of one survey source share its share draw, which starts where the
+    record draw ends, as in ``bootstrap``. All rows of one statistic are one evaluation of its
+    array formula, and one sort gives every request's percentiles. A replicate is undefined
+    where a rule fails or the formula gives NaN. Draw groups run in chunks of about
+    ``CHUNK_ROWS`` count rows.
     """
     for statistic, external, _, _ in requests:
         try:

@@ -11,8 +11,9 @@ Four families of checks:
   4. Monte Carlo agreement between every closed-form estimand and the
      brute-force oracle.
 
-The randomized checks evaluate the closed forms on blocks of models at once
-(``model_blocks``), so their cost and memory stay small for any ``draws``.
+The randomized checks (2, 3 and the sign-reversal searches) share one pass
+over random models, which evaluates the closed forms on blocks of models at
+once (``model_blocks``), so their cost and memory stay small for any ``draws``.
 The checks return structured results; the CLI's ``verify`` subcommand
 renders them and converts failures into a nonzero exit code.
 """
@@ -111,15 +112,7 @@ def model_blocks(rng: np.random.Generator, count: int) -> Iterator[ModelArrays]:
         p_d, mu_01, mu_11 = rng.uniform(size=(3, size))
         pi /= pi.sum(axis=1, keepdims=True)
         pi_al, pi_mi, pi_ma, _ = pi.T
-        yield ModelArrays(
-            p_d=p_d,
-            pi_al=pi_al,
-            pi_mi=pi_mi,
-            pi_ma=pi_ma,
-            pi_ne=1.0 - pi_al - pi_mi - pi_ma,
-            mu_01=mu_01,
-            mu_11=mu_11,
-        )
+        yield ModelArrays(p_d, pi_al, pi_mi, pi_ma, 1.0 - pi_al - pi_mi - pi_ma, mu_01, mu_11)
 
 
 def sample_models(
@@ -145,18 +138,11 @@ def sample_models(
         mu_11 = rng.uniform(0.05, 0.95)
         if pi[0] + pi[2] < 0.05 or pi[0] + pi[1] < 0.05:
             continue
-        pi = pi / pi.sum()
-        model = PopulationModel(
-            p_d=float(p_d),
-            pi_al=float(pi[0]),
-            pi_mi=float(pi[1]),
-            pi_ma=float(pi[2]),
-            pi_ne=float(1.0 - pi[0] - pi[1] - pi[2]),
-            mu_01=float(mu_01),
-            mu_11=float(mu_11),
-        )
+        pi_al, pi_mi, pi_ma, _ = (pi / pi.sum()).tolist()
         produced += 1
-        yield model
+        yield PopulationModel(
+            float(p_d), pi_al, pi_mi, pi_ma, 1.0 - pi_al - pi_mi - pi_ma, float(mu_01), float(mu_11)
+        )
 
 
 def check_sign_reversal_witnesses() -> list[CheckResult]:
@@ -189,70 +175,68 @@ def check_sign_reversal_witnesses() -> list[CheckResult]:
     return results
 
 
-def check_sign_consistency(seed: int, draws: int = 10_000) -> CheckResult:
-    """ATE and ATT inherit the shared sign of the two effects over random models."""
-    rng = np.random.default_rng(seed)
+def _random_checks(seed: int, draws: int) -> list[CheckResult]:
+    """Sign consistency, both sign-reversal searches and the decomposition, in that order.
+
+    One pass over ``draws`` models from ``default_rng(seed)`` serves all four checks.
+    """
     tol = 1e-12
-    violations = 0
-    both_nonneg = both_nonpos = 0
-    for models in model_blocks(rng, draws):
-        ate = estimand_value(Estimand.ATE, models).value
+    violations = both_nonneg = both_nonpos = ate_m1_hits = att_m1_hits = 0
+    worst = 0.0
+    for models in model_blocks(np.random.default_rng(seed), draws):
+        ate = estimand_value(Estimand.ATE, models)
         att = estimand_value(Estimand.ATT, models).value
+        ate_m1 = estimand_value(Estimand.ATE_M1, models).value
+        att_m1 = estimand_value(Estimand.ATT_M1, models).value
+        pie, pde = pie_pde(models)
         beta_m, beta_y = models.beta_m, models.beta_y
         nonneg = (beta_m >= 0.0) & (beta_y >= 0.0)
         nonpos = ~nonneg & (beta_m <= 0.0) & (beta_y <= 0.0)
         both_nonneg += int(np.count_nonzero(nonneg))
         both_nonpos += int(np.count_nonzero(nonpos))
-        violations += int(np.count_nonzero(nonneg & ((ate < -tol) | (att < -tol))))
-        violations += int(np.count_nonzero(nonpos & ((ate > tol) | (att > tol))))
-    return CheckResult(
-        name="sign consistency of ATE/ATT",
-        passed=violations == 0,
-        detail=(
-            f"{draws} models ({both_nonneg} with both effects >= 0, "
-            f"{both_nonpos} with both <= 0), {violations} violations"
-        ),
-    )
-
-
-def check_paradox_search(seed: int, draws: int = 10_000) -> list[CheckResult]:
-    """The randomized search must exhibit both sign-reversal phenomena."""
-    rng = np.random.default_rng(seed)
-    ate_m1_hits = att_m1_hits = 0
-    for models in model_blocks(rng, draws):
-        ate_m1 = estimand_value(Estimand.ATE_M1, models).value
-        att_m1 = estimand_value(Estimand.ATT_M1, models).value
-        beta_m, beta_y = models.beta_m, models.beta_y
+        violations += int(np.count_nonzero(nonneg & ((ate.value < -tol) | (att < -tol))))
+        violations += int(np.count_nonzero(nonpos & ((ate.value > tol) | (att > tol))))
         ate_m1_hits += int(np.count_nonzero((beta_m > 0.0) & (beta_y > 0.0) & (ate_m1 < 0.0)))
         att_m1_hits += int(np.count_nonzero((beta_m < 0.0) & (beta_y < 0.0) & (att_m1 > 0.0)))
+        worst = max(worst, float(np.max(np.abs(pie + pde - ate.contrast))))
     return [
         CheckResult(
-            name="sign reversal found: ATE_M1 < 0 with positive effects",
-            passed=ate_m1_hits >= 1,
-            detail=f"{ate_m1_hits} witnesses in {draws} draws",
+            "sign consistency of ATE/ATT",
+            violations == 0,
+            f"{draws} models ({both_nonneg} with both effects >= 0, "
+            f"{both_nonpos} with both <= 0), {violations} violations",
         ),
         CheckResult(
-            name="sign reversal found: ATT_M1 > 0 with negative effects",
-            passed=att_m1_hits >= 1,
-            detail=f"{att_m1_hits} witnesses in {draws} draws",
+            "sign reversal found: ATE_M1 < 0 with positive effects",
+            ate_m1_hits >= 1,
+            f"{ate_m1_hits} witnesses in {draws} draws",
+        ),
+        CheckResult(
+            "sign reversal found: ATT_M1 > 0 with negative effects",
+            att_m1_hits >= 1,
+            f"{att_m1_hits} witnesses in {draws} draws",
+        ),
+        CheckResult(
+            "indirect + direct effects equal the ATE",
+            worst <= tol,
+            f"max |pie + pde - ate| = {worst:.3e} over {draws} models",
         ),
     ]
 
 
+def check_sign_consistency(seed: int, draws: int = 10_000) -> CheckResult:
+    """ATE and ATT inherit the shared sign of the two effects over random models."""
+    return _random_checks(seed, draws)[0]
+
+
+def check_paradox_search(seed: int, draws: int = 10_000) -> list[CheckResult]:
+    """The randomized search must exhibit both sign-reversal phenomena."""
+    return _random_checks(seed, draws)[1:3]
+
+
 def check_decomposition(seed: int, draws: int = 10_000) -> CheckResult:
     """pie + pde equals the ATE contrast exactly (up to float rounding)."""
-    rng = np.random.default_rng(seed)
-    tol = 1e-12
-    worst = 0.0
-    for models in model_blocks(rng, draws):
-        pie, pde = pie_pde(models)
-        ate = estimand_value(Estimand.ATE, models).contrast
-        worst = max(worst, float(np.max(np.abs(pie + pde - ate))))
-    return CheckResult(
-        name="indirect + direct effects equal the ATE",
-        passed=worst <= tol,
-        detail=f"max |pie + pde - ate| = {worst:.3e} over {draws} models",
-    )
+    return _random_checks(seed, draws)[3]
 
 
 _CLOSED_FORMS = {
@@ -318,8 +302,6 @@ def run_verification(
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     results = check_sign_reversal_witnesses()
-    results.append(check_sign_consistency(seed, draws))
-    results.extend(check_paradox_search(seed, draws))
-    results.append(check_decomposition(seed, draws))
+    results += _random_checks(seed, draws)
     results.append(check_oracle_agreement(seed, oracle_n))
     return results

@@ -699,6 +699,74 @@ class TestOneBatchPerCommand:
         assert counts == {"crr": 1, "rng": 1 + len(strata)}
 
 
+class TestOneSeedPerScope:
+    """Scope i, in the order a command's rows first name the scopes, takes seed i of one draw."""
+
+    @staticmethod
+    def recorded_batch(capsys, monkeypatch, argv):
+        import crrkit.estimate
+
+        batches = []
+
+        def recording(data, requests, **options):
+            batches.append(requests)
+            return batch(data, requests, **options)
+
+        batch = crrkit.estimate.bootstrap_batch
+        monkeypatch.setattr(crrkit.estimate, "bootstrap_batch", recording)
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        [requests] = batches
+        return requests, parse_csv_rows(out)
+
+    @pytest.mark.parametrize("argv", [ESTIMATE_STRATA_ARGV, SENSITIVITY_ARGV],
+                             ids=["estimate", "sensitivity"])
+    def test_rows_of_a_scope_share_one_seed(self, capsys, monkeypatch, strata_inputs, argv):
+        import numpy as np
+
+        requests, rows = self.recorded_batch(capsys, monkeypatch, argv)
+        scopes = list(dict.fromkeys(x for _, _, x, _ in requests))
+        assert len(scopes) == (6 if argv[0] == "estimate" else 5)  # estimate adds the pool
+        assert (scopes[0] is None) == (argv[0] == "estimate")
+        draw = np.random.default_rng(11).integers(0, 2**63, size=len(scopes)).tolist()
+        assert len(set(draw)) == len(scopes)
+        assert [seed for *_, seed in requests] == [draw[scopes.index(x)] for _, _, x, _ in requests]
+        assert len(rows) == len(requests)
+
+    def test_adjusted_replicates_are_naive_times_bias_factor(
+        self, capsys, monkeypatch, strata_inputs
+    ):
+        # every pooled row shares one record draw and the survey rows one share draw, so
+        # CRR = RR x BF holds on each replicate for the census and for the survey
+        import numpy as np
+
+        import crrkit.estimate
+
+        kept = []
+
+        def recording(values, levels):
+            kept.append(values)
+            return percentile_ends(values, levels)
+
+        percentile_ends = crrkit.estimate._percentile_ends
+        monkeypatch.setattr(crrkit.estimate, "_percentile_ends", recording)
+        requests, _ = self.recorded_batch(capsys, monkeypatch, ESTIMATE_STRATA_ARGV)
+        # the batch's rows come scope by scope, each scope's in request order
+        scopes = list(dict.fromkeys(x for _, _, x, _ in requests))
+        order = sorted(range(len(requests)), key=lambda i: scopes.index(requests[i][2]))
+        [values] = kept
+        pooled = {  # (statistic, whether its source is a survey): replicates, NaN if undefined
+            (statistic.__name__, external and external.resampled): values[j]
+            for j, (statistic, external, x, _) in enumerate(requests[i] for i in order)
+            if x is None
+        }
+        naive = pooled["naive_risk_ratio", None]
+        for survey in (False, True):
+            product = naive * pooled["bias_factor", survey]
+            np.testing.assert_array_equal(pooled["crr_identified", survey], product)
+        assert not np.isnan(naive).all()
+
+
 class TestSensitivity:
     def test_lambda_one_matches_unmixed(self, capsys, simulated_inputs):
         admin, census = simulated_inputs

@@ -535,6 +535,22 @@ class TestLineCounting:
         assert outcome == load_outcome(plain) == ([3, 3, 4], ("a", "b"), 3, 3, 0, 0)
         assert line_path == [False, True]
 
+    def test_a_late_quote_ends_the_count_within_its_block(self, tmp_path, monkeypatch):
+        # the first line has no quote; the count stops at the first block that holds one,
+        # not after reading the file through
+        lines = ["1,1,a\n", "0,0,b\n", '1,0,"a"\n'] + ["0,1,b\n"] * 100_000
+        path = write(tmp_path, "late.csv", "d,y,x\n" + "".join(lines))
+        tallied = []
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            handle.readline()
+            assert dataio._count_lines(handle, tuple, tallied.append) is None
+            unread = handle.read().count("\n")
+        assert tallied == []
+        assert 90_000 < unread < len(lines)
+        outcome = load_outcome(path)
+        assert outcome == self.record_pass(monkeypatch, path)
+        assert outcome[2:] == (len(lines), len(lines), 0, 0)
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_pipe_takes_the_record_pass(self, tmp_path, line_path):
         # a pipe cannot be read again, so a quote found by a line count could not fall back

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import crrkit.estimate
 from crrkit.errors import (
     DegenerateOddsError,
     EstimandUndefinedError,
@@ -415,9 +416,13 @@ def multinomial_bootstrap(statistic, data, external=None, *, x=None, level=0.95,
             np.full(int(np.sum(counts)), label, dtype=object),
         )
         try:
-            values.append(call(boot_data, boot_external))
+            value = call(boot_data, boot_external)
         except EstimandUndefinedError:
+            value = math.nan
+        if math.isnan(value):  # 0 * inf, say, is undefined too
             undefined += 1
+        else:
+            values.append(value)
     if 2 * undefined > replicates:
         raise TooManyUndefinedError(
             f"{undefined} of {replicates} bootstrap replicates were undefined"
@@ -576,6 +581,29 @@ class TestPercentiles:
             assert not math.isnan(est.lo) and not math.isnan(est.hi)
             assert est.lo <= est.hi == math.inf
 
+    def test_a_nan_replicate_counts_as_undefined(self, monkeypatch):
+        # a resample without minority force has risk ratio 0, and 0 times a bias factor that
+        # overflows to inf is NaN, which no rule marks
+        data = dataset([(1, 1, "a"), (1, 0, "a"), (0, 1, "a"), (0, 0, "a"), (1, 1, "a")])
+        source = ExternalRaceDistribution.census_from_counts({"a": (1.0, 1e308)})
+        evaluated, kept = [], []
+
+        def evaluate(*args):
+            evaluated.append(real_evaluate(*args))
+            return evaluated[-1]
+
+        def percentile_ends(values, levels):
+            kept.append(values)
+            return real_percentile_ends(values, levels)
+
+        real_evaluate, real_percentile_ends = crrkit.estimate._evaluate, _percentile_ends
+        monkeypatch.setattr(crrkit.estimate, "_evaluate", evaluate)
+        monkeypatch.setattr(crrkit.estimate, "_percentile_ends", percentile_ends)
+        est = bootstrap(crr_identified, data, source, replicates=1000, seed=5)
+        [(values, codes)], [[replicates]] = evaluated, kept
+        assert np.any(np.isnan(values) & (codes == 0))
+        assert est.undefined_replicates + np.count_nonzero(~np.isnan(replicates)) == 1000
+
 
 class TestBootstrapBatch:
     """Every request of a batch gets what a lone ``bootstrap`` call gives it."""
@@ -609,6 +637,7 @@ class TestBootstrapBatch:
             (naive_risk_difference, None, "all", 3),
             (crr_identified, weighted, "all", 3),  # two survey requests share one record draw
             (bias_factor, weighted, "all", 3),
+            (crr_identified, sensitivity_mixture(weighted, 0.4, 0.5), "all", 3),  # a second survey
             (crr_identified, fixed, "all", 3),
             (crr_identified, mixed, "all", 3),
             (naive_risk_ratio, None, "z", 4),
