@@ -3,8 +3,12 @@
 Subcommands: simulate, estimands, estimate, sensitivity, verify. The CLI is
 a thin sequential driver over the library: every printed number comes from
 one library call, reproducible from the seed and settings echoed in the
-report header. A JSON config file may supply any flag (flags win) and an
-optional "schema" section maps input CSV columns.
+report header. A JSON config file may supply any flag (flags win) under its
+name with "_" for "-", and an optional "schema" section maps input CSV
+columns. One table, ``_FLAGS``, declares each flag once: its commands, its
+default or that it is required, its help, and its type, choices or on/off
+form. The parser, the defaults --help states, the config keys and types,
+and the required-flag check all read it.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
 """
@@ -52,26 +56,70 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(f"{__package__}.{_LAZY_NAMES[name]}"), name)
 
 
-#: Default RNG seed for all commands, echoed in every report header.
-DEFAULT_SEED = 1729
-
-DEFAULTS = {
-    "seed": DEFAULT_SEED,
-    "bootstrap": 1000,
-    "level": 0.95,
-    "format": "table",
-    "survey_mode": "all",
-    "n": 100_000,
-    "draws": 10_000,
-    "oracle_n": 100_000,
-    "haldane": False,
-}
-
 #: Largest --n, --oracle-n and --draws: numpy's largest array length.
 MAX_SIZE = int(np.iinfo(np.intp).max)
 
-#: Config-file key and flag name for the one argparse dest that cannot use its own name.
-CONFIG_ALIASES = {"lam": "lambda"}
+#: The default of a required flag: a run that sets it by neither flag nor config exits 2.
+REQUIRED = object()
+
+
+class _Flag(NamedTuple):
+    """One flag ``--name``, whose config key is the name with "_" for "-"."""
+
+    name: str
+    commands: tuple[str, ...]
+    default: object  # None: unset; REQUIRED: a command without it exits 2
+    help: str  # --help appends the default, if there is one
+    kind: type | tuple[str, ...] = str  # int, float, str, bool (an on/off pair) or the choices
+    dest: str = ""  # the attribute of the parsed arguments, when it is not the config key
+
+    @property
+    def key(self) -> str:
+        return self.name.replace("-", "_")
+
+    @property
+    def attr(self) -> str:
+        return self.dest or self.key
+
+
+_COMMANDS = {
+    "simulate": "draw a synthetic population and its oracle report",
+    "estimands": "closed-form estimands of a population model",
+    "estimate": "naive and selection-adjusted risk ratios from data",
+    "sensitivity": "adjusted risk ratios under a local/citywide mixture of encounter shares",
+    "verify": "run the built-in verification suite",
+}
+_ALL, _DATA = tuple(_COMMANDS), ("estimate", "sensitivity")
+
+#: Every flag, in --help order; --census is optional for estimate only.
+_FLAGS = (
+    _Flag("config", _ALL, None, "JSON config file; flags override its values"),
+    _Flag("seed", _ALL, 1729, "RNG seed", int),
+    _Flag("format", _ALL, "table", "output format", report_mod.FORMATS),
+    _Flag("model-file", ("simulate", "estimands"), REQUIRED, "population model JSON file"),
+    _Flag("n", ("simulate",), 100_000, "number of encounters", int),
+    _Flag("out-dir", ("simulate",), REQUIRED, "directory for the three output artifacts"),
+    _Flag("admin", _DATA, REQUIRED, "administrative records CSV"),
+    _Flag("census", ("estimate",), None, "census counts CSV (stratum,count_d1,count_d0)"),
+    _Flag("census", ("sensitivity",), REQUIRED, "census counts CSV (stratum,count_d1,count_d0)"),
+    _Flag("strata", _DATA, None,
+          'comma-separated stratum keys, or "all" for every stratum in the data'),
+    _Flag("bootstrap", _DATA, 1000, "bootstrap replicates B", int),
+    _Flag("level", _DATA, 0.95, "confidence level", float),
+    _Flag("haldane", _DATA, False,
+          "add 0.5 to each record count cell of every scope (exploratory)", bool),
+    _Flag("survey", ("estimate",), None, "survey microdata CSV"),
+    _Flag("survey-mode", ("estimate",), "all", "survey subset/weighting rule", SURVEY_MODES),
+    _Flag("lambda", ("sensitivity",), REQUIRED, "weight on the local share, in [0, 1]", float,
+          "lam"),
+    _Flag("citywide-p1", ("sensitivity",), REQUIRED, "citywide minority share, in (0, 1)", float),
+    _Flag("draws", ("verify",), 10_000, "random models for the sign checks", int),
+    _Flag("oracle-n", ("verify",), 100_000, "encounters per oracle comparison", int),
+)
+
+
+def _flags(command: str) -> list[_Flag]:
+    return [flag for flag in _FLAGS if command in flag.commands]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,118 +132,55 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
-        p.add_argument(
-            "--format",
-            choices=report_mod.FORMATS,
-            help="output format (default table)",
-        )
-
-    p = sub.add_parser("simulate", help="draw a synthetic population and its oracle report")
-    common(p)
-    p.add_argument("--model-file", help="population model JSON file")
-    p.add_argument("--n", type=int, help="number of encounters (default 100000)")
-    p.add_argument("--out-dir", help="directory for the three output artifacts")
-
-    p = sub.add_parser("estimands", help="closed-form estimands of a population model")
-    common(p)
-    p.add_argument("--model-file", help="population model JSON file")
-
-    def estimation_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--admin", help="administrative records CSV")
-        p.add_argument("--census", help="census counts CSV (stratum,count_d1,count_d0)")
-        p.add_argument(
-            "--strata",
-            help='comma-separated stratum keys, or "all" for every stratum in the data',
-        )
-        p.add_argument("--bootstrap", type=int, help="bootstrap replicates B (default 1000)")
-        p.add_argument("--level", type=float, help="confidence level (default 0.95)")
-        p.add_argument(
-            "--haldane",
-            action=argparse.BooleanOptionalAction,
-            help="add 0.5 to each record count cell of every scope (exploratory)",
-        )
-
-    p = sub.add_parser("estimate", help="naive and selection-adjusted risk ratios from data")
-    common(p)
-    estimation_flags(p)
-    p.add_argument("--survey", help="survey microdata CSV")
-    p.add_argument(
-        "--survey-mode",
-        choices=SURVEY_MODES,
-        help="survey subset/weighting rule (default all)",
-    )
-
-    p = sub.add_parser(
-        "sensitivity",
-        help="adjusted risk ratios under a local/citywide mixture of encounter shares",
-    )
-    common(p)
-    estimation_flags(p)
-    p.add_argument("--lambda", dest="lam", type=float, help="weight on the local share, in [0, 1]")
-    p.add_argument("--citywide-p1", type=float, help="citywide minority share, in (0, 1)")
-
-    p = sub.add_parser("verify", help="run the built-in verification suite")
-    common(p)
-    p.add_argument("--draws", type=int, help="random models for the sign checks (default 10000)")
-    p.add_argument("--oracle-n", type=int, help="encounters per oracle comparison (default 100000)")
-
+    for command, summary in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag in _flags(command):
+            text, kind = flag.help, flag.kind
+            if kind is bool:  # --name and --no-name
+                options = {"action": argparse.BooleanOptionalAction}
+            else:
+                options = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+                if flag.default not in (None, REQUIRED):
+                    text += f" (default {flag.default})"
+            p.add_argument(f"--{flag.name}", dest=flag.attr, help=text, **options)
     return parser
 
 
-def _config_value(action: argparse.Action, key: str, value: object) -> object:
-    """``value`` if its JSON type and choice suit the flag's action, else DataError."""
-    if isinstance(action, argparse.BooleanOptionalAction):
-        expected, ok = "true or false", isinstance(value, bool)
-    elif action.type is int:
-        expected, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
-    elif action.type is float:
-        expected, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
-    else:
-        expected, ok = "a string", isinstance(value, str)
-    if not ok:
-        raise DataError(f"config key {key!r} must be {expected}, got {value!r}")
-    if action.choices is not None and value not in action.choices:
-        raise DataError(f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
+#: The wording and JSON types of a config value of each kind; a JSON true is no number.
+_JSON_KINDS = {
+    bool: ("true or false", bool), int: ("an integer", int), float: ("a number", (int, float)),
+    str: ("a string", str),
+}
+
+
+def _config_value(flag: _Flag, value: object) -> object:
+    """``value`` if its JSON type and choice suit the flag, else DataError."""
+    choices = flag.kind if isinstance(flag.kind, tuple) else None
+    expected, types = _JSON_KINDS[str if choices else flag.kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and flag.kind is not bool):
+        raise DataError(f"config key {flag.key!r} must be {expected}, got {value!r}")
+    if choices and value not in choices:
+        raise DataError(f"config key {flag.key!r} must be one of {list(choices)}, got {value!r}")
     return value
 
 
-def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
-    """Fill unset flags from the JSON config; returns the raw config dict."""
-    if not getattr(args, "config", None):
-        return {}
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if not isinstance(config, dict):
-        raise DataError("config file must contain a JSON object")
-    # argparse exposes a parser's actions, with their type and choices, only as _actions
-    (subparsers,) = [a for a in parser._actions if a.dest == "subcommand"]
-    # keys of every subcommand are accepted, so one config file can serve several commands
-    flags = {CONFIG_ALIASES.get(a.dest, a.dest) for p in subparsers.choices.values() for a in p._actions}
-    unknown = sorted(set(config) - (flags - {"help"}) - {"schema"})
-    if unknown:
-        raise DataError(f"unknown config keys: {unknown}")
-    actions = {a.dest: a for a in subparsers.choices[args.subcommand]._actions}
-    for dest, value in vars(args).items():
-        key = CONFIG_ALIASES.get(dest, dest)
-        if value is None and config.get(key) is not None:
-            setattr(args, dest, _config_value(actions[dest], key, config[key]))
-    return config
-
-
-def _apply_defaults(args: argparse.Namespace) -> None:
-    for dest, value in DEFAULTS.items():
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
-
-
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            flag = "--" + CONFIG_ALIASES.get(name, name).replace("_", "-")
-            raise DataError(f"{args.subcommand}: {flag} is required (flag or config)")
+def _settle(args: argparse.Namespace) -> None:
+    """Fill each unset flag from the JSON config, else from its default (a required flag's is
+    REQUIRED); ``args.schema`` is the config's "schema" section."""
+    config = {}
+    if args.config:
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(config, dict):
+            raise DataError("config file must contain a JSON object")
+        # keys of every command are accepted, so one config file can serve several commands
+        unknown = sorted(set(config) - {flag.key for flag in _FLAGS} - {"schema"})
+        if unknown:
+            raise DataError(f"unknown config keys: {unknown}")
+    for flag in _flags(args.subcommand):
+        if getattr(args, flag.attr) is None:
+            value = config.get(flag.key)
+            setattr(args, flag.attr, flag.default if value is None else _config_value(flag, value))
+    args.schema = config.get("schema")
 
 
 def _note(text: str) -> None:
@@ -209,7 +194,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from . import dataio
     from .simulate import ORACLE_FIELDS, oracle_estimands, sample_encounters, to_administrative
 
-    _require(args, "model_file", "out_dir")
     model = dataio.read_model_file(args.model_file)
     table = sample_encounters(model, args.n, args.seed)
     admin = to_administrative(table)
@@ -247,7 +231,6 @@ def cmd_estimands(args: argparse.Namespace) -> int:
     from . import dataio
     from .model import Estimand, crr_true, estimand_value, pie_pde
 
-    _require(args, "model_file")
     model = dataio.read_model_file(args.model_file)
 
     rep = Report("estimands")
@@ -279,12 +262,12 @@ def cmd_estimands(args: argparse.Namespace) -> int:
 
 
 def _load_inputs(
-    args: argparse.Namespace, config: dict
+    args: argparse.Namespace,
 ) -> tuple[AdministrativeDataset, LoadReport, list[tuple[str, ExternalRaceDistribution]]]:
     """The admin records and the labelled external sources: census, then survey-<mode>."""
     from . import dataio
 
-    schema = dataio.SchemaConfig.from_dict(config.get("schema"))  # malformed: ValueError, exit 2
+    schema = dataio.SchemaConfig.from_dict(args.schema)  # malformed: ValueError, exit 2
     data, admin_rep = dataio.load_administrative(args.admin, schema)
     _note(admin_rep.summary())
     externals: list[tuple[str, ExternalRaceDistribution]] = []
@@ -359,11 +342,10 @@ def _add_rows(
         rep.add_row(ReportRow(stratum, estimand, estimate.point, estimate.lo, estimate.hi, flags))
 
 
-def cmd_estimate(args: argparse.Namespace, config: dict) -> int:
+def cmd_estimate(args: argparse.Namespace) -> int:
     from .estimate import bias_factor, crr_identified, naive_risk_difference, naive_risk_ratio
 
-    _require(args, "admin")
-    data, load_rep, externals = _load_inputs(args, config)
+    data, load_rep, externals = _load_inputs(args)
     strata = _parse_strata(args, data) or []
 
     rep = Report("estimate")
@@ -399,11 +381,10 @@ def cmd_estimate(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def cmd_sensitivity(args: argparse.Namespace, config: dict) -> int:
+def cmd_sensitivity(args: argparse.Namespace) -> int:
     from .estimate import crr_identified, sensitivity_mixture
 
-    _require(args, "admin", "census", "lam", "citywide_p1")
-    data, _, [(_, external)] = _load_inputs(args, config)
+    data, _, [(_, external)] = _load_inputs(args)
     mixed = sensitivity_mixture(external, args.citywide_p1, args.lam)
     keys = data.strata() if args.strata is None else _parse_strata(args, data)
 
@@ -449,12 +430,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed == len(results) else 1
 
 
+_RUN = {
+    "simulate": cmd_simulate, "estimands": cmd_estimands, "estimate": cmd_estimate,
+    "sensitivity": cmd_sensitivity, "verify": cmd_verify,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _merge_config(parser, args)
-        _apply_defaults(args)
+        _settle(args)
         if args.seed < 0:  # numpy would reject it only after the inputs are read, naming no flag
             raise DataError(f"--seed must be a non-negative integer, got {args.seed}")
         # numpy's own errors would name no flag; a huge --draws would loop without end
@@ -463,29 +448,21 @@ def main(argv: list[str] | None = None) -> int:
             if size is not None and not 1 <= size <= MAX_SIZE:
                 flag = "--" + dest.replace("_", "-")
                 raise DataError(f"{flag} must be an integer from 1 to {MAX_SIZE}, got {size}")
-        replicates, level = getattr(args, "bootstrap", None), getattr(args, "level", None)
         # bootstrap would reject these only when a stratum has rows, and then name no flag
-        if replicates is not None:
+        if args.subcommand in _DATA:
             from .estimate import MAX_REPLICATES
 
-            if not 2 <= replicates <= MAX_REPLICATES:
+            if not 2 <= args.bootstrap <= MAX_REPLICATES:
                 raise DataError(
                     f"--bootstrap must be at least 2 and at most {MAX_REPLICATES} replicates, "
-                    f"got {replicates}"
+                    f"got {args.bootstrap}"
                 )
-        if level is not None and not 0.0 < level < 1.0:  # NaN fails too
-            raise DataError(f"--level must lie strictly between 0 and 1, got {level}")
-        if args.subcommand == "simulate":
-            return cmd_simulate(args)
-        if args.subcommand == "estimands":
-            return cmd_estimands(args)
-        if args.subcommand == "estimate":
-            return cmd_estimate(args, config)
-        if args.subcommand == "sensitivity":
-            return cmd_sensitivity(args, config)
-        if args.subcommand == "verify":
-            return cmd_verify(args)
-        raise AssertionError(f"unhandled subcommand {args.subcommand!r}")
+            if not 0.0 < args.level < 1.0:  # NaN fails too
+                raise DataError(f"--level must lie strictly between 0 and 1, got {args.level}")
+        missing = [f for f in _flags(args.subcommand) if getattr(args, f.attr) is REQUIRED]
+        if missing:  # the first in --help order
+            raise DataError(f"{args.subcommand}: --{missing[0].name} is required (flag or config)")
+        return _RUN[args.subcommand](args)
     # JSONDecodeError is a ValueError; a refused numpy allocation (huge --n) is a MemoryError
     except (CrrKitError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

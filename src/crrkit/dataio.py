@@ -173,15 +173,22 @@ class LoadReport:
         )
 
 
-def _header(reader, path: str | Path, required: Sequence[str]) -> tuple[dict[str, int], int]:
-    """Position of every header name, and the header's width; the file must name ``required``."""
+def _header(
+    reader, path: str | Path, required: Sequence[str], optional: Sequence[str]
+) -> tuple[dict[str, int], int]:
+    """Position of every header name, and the header's width; the file must name ``required``,
+    and name each column it reads, required or optional, once."""
     header = next(reader, None)
     if header is None:
         raise MissingColumnError(f"{path}: file is empty, expected a header row")
-    indices = {name.strip(): i for i, name in enumerate(header)}
+    names = [name.strip() for name in header]
+    indices = {name: i for i, name in enumerate(names)}
     missing = [name for name in required if name not in indices]
     if missing:
         raise MissingColumnError(f"{path}: missing columns {missing}; header was {header}")
+    for name in (*required, *optional):
+        if names.count(name) > 1:
+            raise DataError(f"{path}: column {name!r} appears more than once in header {header}")
     return indices, len(header)
 
 
@@ -310,7 +317,7 @@ def _load_rows(
     with open(path, newline="", encoding="utf-8-sig") as handle:  # tolerate a byte-order mark
         reader = csv.reader(handle)
         try:
-            indices, width = _header(reader, path, required)
+            indices, width = _header(reader, path, required, optional)
         except csv.Error as exc:
             raise UnparseableRowError(str(exc), reader.line_num) from exc
         positions = [indices.get(column) for column in (*required, *optional)]

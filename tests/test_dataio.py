@@ -103,6 +103,25 @@ class TestAdministrativeLoader:
         with pytest.raises(MissingColumnError):
             load_administrative(write(tmp_path, "e.csv", ""), CITY_SCHEMA)
 
+    @pytest.mark.parametrize(
+        "header, column",
+        [
+            ("race,force,precinct,precinct", "precinct"),
+            ("race,force,precinct, precinct", "precinct"),  # the same name once stripped
+            ("race,force,race,precinct", "race"),
+        ],
+    )
+    def test_column_read_twice_is_a_data_error(self, tmp_path, header, column):
+        # with one position per name, the last of two same-named columns was read silently
+        path = write(tmp_path, "admin.csv", f"{header}\nBLACK,1,7,9\nWHITE,0,7,9\n")
+        with pytest.raises(DataError, match=f"admin.csv: column '{column}' appears more than once"):
+            load_administrative(path, CITY_SCHEMA)
+
+    def test_unread_column_named_twice_loads(self, tmp_path):
+        path = write(tmp_path, "admin.csv", "race,note,force,note,precinct\nBLACK,a,1,b,7\n")
+        data, report = load_administrative(path, CITY_SCHEMA)
+        assert (report.n_loaded, list(data.x)) == (1, ["7"])
+
     def test_unparseable_row_carries_line_number(self, tmp_path):
         path = write(
             tmp_path,
@@ -768,6 +787,11 @@ class TestCensusLoader:
         with pytest.raises(MissingColumnError):
             load_census(path)
 
+    def test_column_read_twice_is_a_data_error(self, tmp_path):
+        path = write(tmp_path, "census.csv", "stratum,count_d1,count_d0,count_d1\np7,1,5,9\n")
+        with pytest.raises(DataError, match="census.csv: column 'count_d1' appears more than once"):
+            load_census(path)
+
     def test_row_of_wrong_width(self, tmp_path):
         path = write(tmp_path, "census.csv", "stratum,count_d1,count_d0\np7,1,5\np8,1,5,9\n")
         with pytest.raises(UnparseableRowError, match="line 3: expected 3 fields, got 4"):
@@ -826,6 +850,25 @@ def survey_from(tmp_path, body, schema=None):
 
 
 class TestSurveyLoader:
+    @pytest.mark.parametrize(
+        "header, column",
+        [("race,race", "race"), ("race,contacts,contacts", "contacts"),
+         ("race,stop_public,x, stop_public", "stop_public")],
+        ids=["required", "optional", "optional-stripped"],
+    )
+    def test_column_read_twice_is_a_data_error(self, tmp_path, header, column):
+        path = write(tmp_path, "survey.csv", f"{header}\n" + "B,1,1,0\nW,0,2,1\n")
+        schema = SchemaConfig(survey=SurveySchema(race_map={"B": 1, "W": 0}))
+        with pytest.raises(DataError, match=f"survey.csv: column '{column}' appears more than once"):
+            load_survey(path, schema)
+
+    def test_unread_column_named_twice_loads(self, tmp_path):
+        path = write(tmp_path, "survey.csv", "race,id,contacts,id\nB,1,3,1\nW,2,1,2\n")
+        schema = SchemaConfig(survey=SurveySchema(race_map={"B": 1, "W": 0}))
+        table, report = load_survey(path, schema)
+        assert report.n_loaded == 2
+        assert derive_survey_distribution(table, "weighted").p1_for(None) == pytest.approx(0.75)
+
     def test_weighted_share_example(self, tmp_path):
         # races (1, 0) with contact weights (3, 1): weighted share 0.75
         table, _ = survey_from(tmp_path, "B,0,0,0,3,1\nW,1,0,0,1,1\n")
