@@ -169,7 +169,10 @@ def _settle(args: argparse.Namespace) -> None:
     REQUIRED); ``args.schema`` is the config's "schema" section."""
     config = {}
     if args.config:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{args.config}: config file is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise DataError("config file must contain a JSON object")
         # keys of every command are accepted, so one config file can serve several commands
@@ -459,11 +462,17 @@ def main(argv: list[str] | None = None) -> int:
                 )
             if not 0.0 < args.level < 1.0:  # NaN fails too
                 raise DataError(f"--level must lie strictly between 0 and 1, got {args.level}")
+        # sensitivity_mixture would reject these only after both inputs are read, naming no flag
+        if args.subcommand == "sensitivity":
+            if args.lam is not REQUIRED and not 0.0 <= args.lam <= 1.0:
+                raise DataError(f"--lambda must lie in [0, 1], got {args.lam}")
+            if args.citywide_p1 is not REQUIRED and not 0.0 < args.citywide_p1 < 1.0:
+                raise DataError(f"--citywide-p1 must lie in (0, 1), got {args.citywide_p1}")
         missing = [f for f in _flags(args.subcommand) if getattr(args, f.attr) is REQUIRED]
         if missing:  # the first in --help order
             raise DataError(f"{args.subcommand}: --{missing[0].name} is required (flag or config)")
         return _RUN[args.subcommand](args)
-    # JSONDecodeError is a ValueError; a refused numpy allocation (huge --n) is a MemoryError
+    # a refused numpy allocation (huge --n) is a MemoryError
     except (CrrKitError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -319,7 +319,7 @@ def _load_rows(
         try:
             indices, width = _header(reader, path, required, optional)
         except csv.Error as exc:
-            raise UnparseableRowError(str(exc), reader.line_num) from exc
+            raise UnparseableRowError(str(exc), reader.line_num, path) from exc
         positions = [indices.get(column) for column in (*required, *optional)]
         read = [p for p in positions if p is not None]  # None: an absent optional column
         absent = [i for i, p in enumerate(positions) if p is None]
@@ -385,8 +385,11 @@ def _load_rows(
                 f, _, key, token = failed[min(stop)]
                 line = first_lines.get(key) or _first_line(path, row_key, key)
                 if f is None:
-                    raise UnparseableRowError(f"expected {width} fields, got {key}", line)
-                fields[f][1](token, line)  # raises, as it did at line 0
+                    raise UnparseableRowError(f"expected {width} fields, got {key}", line, path)
+                try:
+                    fields[f][1](token, line)  # raises, as it did at line 0
+                except UnparseableRowError as exc:
+                    raise UnparseableRowError(exc.reason, line, path) from None
             loaded, n_dropped, unparseable = (
                 int(number[which].sum()) for which in (alive, dropped, list(failed))
             )
@@ -409,7 +412,7 @@ def _load_rows(
         try:  # rows counted before an error stay counted
             counts.update(map(row_key if handle.seekable() else noted_key, reader))
         except csv.Error as exc:  # malformed CSV, e.g. a field over the csv module's size limit
-            csv_error = UnparseableRowError(str(exc), reader.line_num)
+            csv_error = UnparseableRowError(str(exc), reader.line_num, path)
             csv_error.__cause__ = exc
     result = tally(counts.items())
     if csv_error is not None:  # every row before the malformed text loaded, dropped or skipped

@@ -53,10 +53,12 @@ class MissingColumnError(DataError):
 
 
 class UnparseableRowError(DataError):
-    """A data row could not be parsed; carries the reason and the 1-based physical line number."""
+    """A data row could not be parsed; carries the reason and the 1-based physical line number,
+    and names the file when its path is given."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int, path: object = None):
+        where = "line" if path is None else f"{path} line"
+        super().__init__(f"{where} {line}: {message}")
         self.reason = message
         self.line = line
 

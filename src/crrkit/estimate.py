@@ -81,10 +81,9 @@ class AdministrativeDataset:
             raise ValueError("column arrays must have equal length")
         _check_binary("d", d)
         _check_binary("y", y)
-        codes: dict = {}  # each key's code, in first-seen order: x is never sorted or copied
-        cell = np.fromiter(
-            (codes.setdefault(v, len(codes)) for v in x), dtype=np.int32, count=len(x)
-        )
+        # each key's code, in first-seen order: x is never sorted or copied
+        codes = {key: i for i, key in enumerate(dict.fromkeys(x))}
+        cell = np.fromiter(map(codes.__getitem__, x), dtype=np.int32, count=len(x))
         for column in (d, y):  # cell = 4*code + 2*d + y, in place on int32
             cell *= 2
             cell += np.asarray(column, dtype=np.int8)

@@ -108,6 +108,9 @@ def sample_encounters(model: PopulationModel, n: int, seed: int, *, x: str = "al
 #: Each cell code's record cell 2*d + y, or -1 where the encounter is not detained (m = 0).
 _RECORD_CELL = np.array([2 * d + y if m else -1 for m, d, y in cell_values("m", "d", "y")], np.int8)
 
+#: Each cell code's columns that the oracle's groups read.
+_ORACLE_CELLS = cell_values("d", "m0", "m1", "y01", "y11", "m", "y")
+
 
 def to_administrative(table: EncounterTable) -> AdministrativeDataset:
     """Project the detained rows (m = 1) to the observable (d, y, x) records."""
@@ -237,8 +240,7 @@ def oracle_estimands(table: EncounterTable) -> OracleReport:
     """
     counts = _cell_counts(table)
     groups: defaultdict[str, Counter] = defaultdict(Counter)
-    cells = cell_values("d", "m0", "m1", "y01", "y11", "m", "y")
-    for count, (d, m0, m1, y01, y11, m, y) in zip(counts.tolist(), cells):
+    for count, (d, m0, m1, y01, y11, m, y) in zip(counts.tolist(), _ORACLE_CELLS):
         diff = y11 * m1 - y01 * m0
         for group, member, value in (
             ("ate", 1, diff), ("att", d, diff), ("ate_m1", m, diff), ("att_m1", d & m, diff),

@@ -11,13 +11,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from test_corpus import MANIFEST, run_corpus  # noqa: E402
+from test_corpus import MANIFEST, pin, run_corpus  # noqa: E402
 
 
 def main() -> None:
     old = set(MANIFEST.read_text(encoding="utf-8").splitlines()) if MANIFEST.exists() else set()
     with tempfile.TemporaryDirectory() as workdir:
-        lines = run_corpus(Path(workdir) / "corpus")
+        outcomes = run_corpus(Path(workdir) / "corpus")
+    lines = [pin(line, *outcome) for line, outcome in outcomes.items()]
     MANIFEST.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
     moved = [line for line in lines if line not in old]
     for line in moved:

@@ -733,6 +733,20 @@ class TestOneSeedPerScope:
         assert [seed for *_, seed in requests] == [draw[scopes.index(x)] for _, _, x, _ in requests]
         assert len(rows) == len(requests)
 
+    def test_pooled_rows_do_not_depend_on_the_strata(self, capsys, strata_inputs):
+        # the pool is the first scope an estimate names, so it takes the first seed whatever the
+        # strata; its rows come first, 2 + 2 per source, and are taken by position because
+        # stratum "all" shares the pool's label
+        at = ESTIMATE_STRATA_ARGV.index("--strata")
+        pooled_argv = ESTIMATE_STRATA_ARGV[:at] + ESTIMATE_STRATA_ARGV[at + 2 :]
+        (code, out, _), (strata_code, strata_out, _) = (
+            run(capsys, argv) for argv in (pooled_argv, ESTIMATE_STRATA_ARGV)
+        )
+        assert code == strata_code == 0
+        pooled, with_strata = parse_csv_rows(out), parse_csv_rows(strata_out)
+        assert len(pooled) == 2 + 2 * 2 < len(with_strata)
+        assert with_strata[: len(pooled)] == pooled
+
     def test_adjusted_replicates_are_naive_times_bias_factor(
         self, capsys, monkeypatch, strata_inputs
     ):
@@ -1125,6 +1139,40 @@ class TestConfigAndErrors:
         ):
             code, out, err = run(capsys, [*argv, "--census", str(census), *setting])
             assert (code, out, err) == (2, "", f"error: {message}\n"), argv[0]
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("lambda", 1.5, "--lambda must lie in [0, 1], got 1.5"),
+            ("lambda", -0.5, "--lambda must lie in [0, 1], got -0.5"),
+            ("lambda", float("nan"), "--lambda must lie in [0, 1], got nan"),
+            ("citywide-p1", 1.0, "--citywide-p1 must lie in (0, 1), got 1.0"),
+            ("citywide-p1", 0.0, "--citywide-p1 must lie in (0, 1), got 0.0"),
+            ("citywide-p1", float("nan"), "--citywide-p1 must lie in (0, 1), got nan"),
+        ],
+    )
+    def test_lambda_and_citywide_share_checked_before_inputs_are_read(
+        self, capsys, tmp_path, via, flag, value, message
+    ):
+        # the inputs do not exist and the other flag is unset: the value is checked first
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag.replace("-", "_"): value}))
+        setting = ["--config", str(config)] if via == "config" else [f"--{flag}", str(value)]
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run(
+            capsys, ["sensitivity", "--admin", missing, "--census", missing, *setting]
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_config_that_is_not_json_names_its_file(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"bootstrap": 5,}')
+        code, out, err = run(
+            capsys, ["estimate", "--admin", str(tmp_path / "admin.csv"), "--config", str(config)]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {config}: config file is not valid JSON: Expecting ")
 
     @pytest.mark.parametrize(
         "config",

@@ -249,6 +249,27 @@ class TestAdministrativeLoader:
         assert SurveySchema().race_map is None  # inherits the admin map
 
 
+@pytest.mark.parametrize(
+    "load, name, text, reason",
+    [
+        (load_administrative, "admin.csv", "d,y,x\n1,1,a\n1,2,a\n",
+         "force must be 0 or 1, got '2'"),
+        (load_administrative, "admin.csv", "d,y,x\n1,1,a\n1,1\n", "expected 3 fields, got 2"),
+        (load_census, "census.csv", "stratum,count_d1,count_d0\na,1,1\na,x,5\n",
+         "counts must be decimal numbers, got ['x', '5']"),
+        (load_survey, "survey.csv", "race,contacts\n1,3\n1,x\n",
+         "contact count 'x' is not a nonnegative integer"),
+    ],
+    ids=["admin", "admin-width", "census", "survey"],
+)
+def test_row_error_names_its_file(tmp_path, load, name, text, reason):
+    path = write(tmp_path, name, text)
+    with pytest.raises(UnparseableRowError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"{path} line 3: {reason}"
+    assert (excinfo.value.line, excinfo.value.reason) == (3, reason)
+
+
 def reference_load(path, config, skip_unparseable=False):
     """The administrative loader's rules applied row by row, in file order.
 
@@ -272,7 +293,7 @@ def reference_load(path, config, skip_unparseable=False):
                 try:
                     if len(row) != len(header):
                         raise UnparseableRowError(
-                            f"expected {len(header)} fields, got {len(row)}", line
+                            f"expected {len(header)} fields, got {len(row)}", line, path
                         )
                     race, force, *values = (row[indices[c]].strip() for c in columns)
                     d = config.race_map.get(race)
@@ -280,10 +301,14 @@ def reference_load(path, config, skip_unparseable=False):
                         dropped += 1
                         continue
                     if force not in ("0", "1"):
-                        raise UnparseableRowError(f"force must be 0 or 1, got {force!r}", line)
+                        raise UnparseableRowError(
+                            f"force must be 0 or 1, got {force!r}", line, path
+                        )
                     if len(values) > 1 and any("|" in v for v in values):
                         raise UnparseableRowError(
-                            "stratum value contains '|', which joins the stratum columns", line
+                            "stratum value contains '|', which joins the stratum columns",
+                            line,
+                            path,
                         )
                 except UnparseableRowError:
                     if not skip_unparseable:
@@ -295,7 +320,7 @@ def reference_load(path, config, skip_unparseable=False):
                 counts[key, d, int(force)] += 1
                 loaded += 1
         except csv.Error as exc:
-            raise UnparseableRowError(str(exc), reader.line_num) from exc
+            raise UnparseableRowError(str(exc), reader.line_num, path) from exc
     return counts, tuple(keys), (loaded + dropped + unparseable, loaded, dropped, unparseable)
 
 
@@ -654,7 +679,9 @@ class TestLineCounting:
         for skip in (False, True):
             assert load_outcome(path, skip=skip) == self.record_pass(monkeypatch, path, skip=skip)
         assert line_path == [True, True]
-        assert load_outcome(path) == (UnparseableRowError, "line 3: expected 3 fields, got 0", 3)
+        assert load_outcome(path) == (
+            UnparseableRowError, f"{path} line 3: expected 3 fields, got 0", 3
+        )
         assert load_outcome(path, skip=True) == ([3, 3, 4], ("a", "b"), 5, 3, 0, 2)
 
     def test_bad_row_after_text_the_csv_module_rejects(self, tmp_path, monkeypatch, line_path):
@@ -1118,9 +1145,9 @@ def rowwise_load(path, required, parse, optional=(), skip=False):
                             f"expected {len(header)} fields, got {len(row)}", line
                         )
                     parsed = parse(tuple("" if p is None else row[p] for p in positions), line)
-                except UnparseableRowError:
-                    if not skip:
-                        raise
+                except UnparseableRowError as exc:
+                    if not skip:  # the error names the file
+                        raise UnparseableRowError(exc.reason, line, path) from None
                     unparseable += 1
                     continue
                 if parsed is None:
@@ -1128,7 +1155,7 @@ def rowwise_load(path, required, parse, optional=(), skip=False):
                 else:
                     loaded[parsed] += 1
         except csv.Error as exc:
-            raise UnparseableRowError(str(exc), reader.line_num) from exc
+            raise UnparseableRowError(str(exc), reader.line_num, path) from exc
     n = sum(loaded.values())
     return loaded, (n + dropped + unparseable, n, dropped, unparseable)
 
