@@ -26,13 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import report as report_mod
-from .errors import (
-    CrrKitError,
-    DataError,
-    UnknownStratumError,
-    ZeroDenominatorError,
-    ZeroMassError,
-)
+from .errors import CrrKitError, DataError, ZeroDenominatorError, ZeroMassError
 from .report import SURVEY_MODES, Report, ReportRow, render
 
 if TYPE_CHECKING:  # the commands import dataio, estimate, model, simulate and verify
@@ -42,9 +36,9 @@ if TYPE_CHECKING:  # the commands import dataio, estimate, model, simulate and v
 
 #: The module each name comes from, imported when the name is read (PEP 562). `verify` calls
 #: run_verification through this module, so a name patched here, as benchmarks/tracing.py
-#: patches all three, is the one called. No command calls bootstrap or stratified_estimates
-#: (estimate and sensitivity call estimate.bootstrap_batch once); their names stay until the
-#: benchmark tracer reads a run trace instead of patching (ROADMAP item 2).
+#: patches all three, is the one called. No command calls bootstrap or stratified_estimates:
+#: estimate and sensitivity make one estimate.bootstrap_batch call, as stratified_estimates
+#: does. Both names stay until the benchmark tracer drops them (ROADMAP items 1 and 6).
 _LAZY_NAMES = {
     "bootstrap": "estimate", "stratified_estimates": "estimate", "run_verification": "verify"
 }
@@ -153,14 +147,15 @@ _JSON_KINDS = {
 }
 
 
-def _config_value(flag: _Flag, value: object) -> object:
-    """``value`` if its JSON type and choice suit the flag, else DataError."""
+def _config_value(path: str, flag: _Flag, value: object) -> object:
+    """``value`` if its JSON type and choice suit the flag, else DataError naming config ``path``."""
     choices = flag.kind if isinstance(flag.kind, tuple) else None
     expected, types = _JSON_KINDS[str if choices else flag.kind]
+    key = f"{path}: config key {flag.key!r}"
     if not isinstance(value, types) or (isinstance(value, bool) and flag.kind is not bool):
-        raise DataError(f"config key {flag.key!r} must be {expected}, got {value!r}")
+        raise DataError(f"{key} must be {expected}, got {value!r}")
     if choices and value not in choices:
-        raise DataError(f"config key {flag.key!r} must be one of {list(choices)}, got {value!r}")
+        raise DataError(f"{key} must be one of {list(choices)}, got {value!r}")
     return value
 
 
@@ -174,15 +169,16 @@ def _settle(args: argparse.Namespace) -> None:
         except json.JSONDecodeError as exc:
             raise DataError(f"{args.config}: config file is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
-            raise DataError("config file must contain a JSON object")
+            raise DataError(f"{args.config}: config file must contain a JSON object")
         # keys of every command are accepted, so one config file can serve several commands
         unknown = sorted(set(config) - {flag.key for flag in _FLAGS} - {"schema"})
         if unknown:
-            raise DataError(f"unknown config keys: {unknown}")
+            raise DataError(f"{args.config}: unknown config keys: {unknown}")
     for flag in _flags(args.subcommand):
         if getattr(args, flag.attr) is None:
             value = config.get(flag.key)
-            setattr(args, flag.attr, flag.default if value is None else _config_value(flag, value))
+            value = flag.default if value is None else _config_value(args.config, flag, value)
+            setattr(args, flag.attr, value)
     args.schema = config.get("schema")
 
 
@@ -270,7 +266,10 @@ def _load_inputs(
     """The admin records and the labelled external sources: census, then survey-<mode>."""
     from . import dataio
 
-    schema = dataio.SchemaConfig.from_dict(args.schema)  # malformed: ValueError, exit 2
+    try:
+        schema = dataio.SchemaConfig.from_dict(args.schema)
+    except ValueError as exc:  # only a config file has a schema section
+        raise DataError(f"{args.config}: {exc}") from exc
     data, admin_rep = dataio.load_administrative(args.admin, schema)
     _note(admin_rep.summary())
     externals: list[tuple[str, ExternalRaceDistribution]] = []
@@ -292,16 +291,12 @@ def _parse_strata(args: argparse.Namespace, data: AdministrativeDataset) -> list
         return None
     if args.strata == "all":
         return data.strata()
-    keys = [k for k in args.strata.split(",") if k]
+    keys = [k for k in map(str.strip, args.strata.split(",")) if k]
     if not keys:
         raise DataError(f"--strata {args.strata!r} names no stratum")
     repeated = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
     if repeated is not None:
         raise DataError(f"--strata {args.strata!r} names stratum {repeated!r} more than once")
-    present = set(data.strata())
-    unknown = [k for k in keys if k not in present]
-    if unknown:
-        raise UnknownStratumError(f"strata not present in data: {unknown}")
     return keys
 
 
@@ -320,15 +315,13 @@ def _add_rows(
 ) -> None:
     """One row per request, all bootstrapped in one batch; an undefined estimate is undefined.
 
-    The i-th scope the requests name takes index i of one seed draw, so the rows of a scope
-    share its record draw.
+    The i-th scope the requests name takes the i-th seed of ``_scope_seeds``, so the rows of a
+    scope share its record draw; the batch rejects a stratum without records.
     """
     from .dataio import POOLED_KEY
-    from .estimate import bootstrap_batch
+    from .estimate import _scope_seeds, bootstrap_batch
 
-    scopes = list(dict.fromkeys(request.x for request in requests))
-    seeds = np.random.default_rng(args.seed).integers(0, 2**63, size=len(scopes)).tolist()
-    seed_of = dict(zip(scopes, seeds))
+    seed_of = _scope_seeds(args.seed, (request.x for request in requests))
     batch = [(r.statistic, r.external, r.x, seed_of[r.x]) for r in requests]
     options = dict(level=args.level, replicates=args.bootstrap, haldane=args.haldane)
     results = bootstrap_batch(data, batch, **options)

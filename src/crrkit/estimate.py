@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -563,6 +563,14 @@ def _bootstrap_groups(
             yield i, EstimateWithCI(point, lo, hi, level, replicates, seed, missing)
 
 
+def _scope_seeds(seed: int, scopes: Iterable) -> dict:
+    """The seed of each distinct scope in ``scopes``: the i-th takes index i of one
+    ``default_rng(seed)`` draw, so every request of a scope shares its record draw."""
+    scopes = list(dict.fromkeys(scopes))
+    seeds = np.random.default_rng(seed).integers(0, 2**63, size=len(scopes)).tolist()
+    return dict(zip(scopes, seeds))
+
+
 def bootstrap_batch(
     data: AdministrativeDataset, requests: Sequence[tuple], *, level: float = 0.95,
     replicates: int = 1000, haldane: bool = False,
@@ -576,7 +584,8 @@ def bootstrap_batch(
     record draw ends, as in ``bootstrap``. All rows of one statistic are one evaluation of its
     array formula, and one sort gives every request's percentiles. A replicate is undefined
     where a rule fails or the formula gives NaN. Draw groups run in chunks of about
-    ``CHUNK_ROWS`` count rows.
+    ``CHUNK_ROWS`` count rows. Before any draw, one UnknownStratumError names every requested
+    stratum without records, in first-request order.
     """
     for statistic, external, _, _ in requests:
         try:
@@ -594,13 +603,16 @@ def bootstrap_batch(
         raise ValueError("confidence level must lie in (0, 1)")
     results: list = [None] * len(requests)
     groups: dict = {}  # (seed, x): the requests that share its record draws
+    unknown: dict = {}  # the strata without records, in first-request order
     for i, (_, _, x, seed) in enumerate(requests):
         if any(data._scope_counts(x)):
             groups.setdefault((seed, x), []).append(i)
         elif x is not None:
-            raise UnknownStratumError(f"stratum {x!r} has no administrative rows")
+            unknown[x] = None
         else:
             results[i] = MissingGroupError("administrative dataset is empty")
+    if unknown:
+        raise UnknownStratumError(f"strata not present in data: {list(unknown)}")
     chunks, rows = [], CHUNK_ROWS
     for group in groups.items():
         if rows >= CHUNK_ROWS:
@@ -640,9 +652,9 @@ def bootstrap(
     one-request case of ``bootstrap_batch``, which the CLI calls with every
     row of a command.
 
-    Raises ValueError for any other statistic, a missing external, or
-    ``replicates`` outside [2, MAX_REPLICATES]; TooManyUndefinedError when
-    more than half the replicates are undefined.
+    Raises ValueError for any other statistic, a missing external, or ``replicates`` outside
+    [2, MAX_REPLICATES]; UnknownStratumError for a stratum without records;
+    TooManyUndefinedError when more than half the replicates are undefined.
     """
     requests = [(statistic, external, x, seed)]
     (result,) = bootstrap_batch(data, requests, level=level, replicates=replicates, haldane=haldane)
@@ -681,34 +693,28 @@ def stratified_estimates(
 ) -> list[StratumResult]:
     """Naive and selection-adjusted risk ratios with CIs, one row per stratum.
 
-    ``strata`` defaults to every stratum present in the data; requesting a
-    stratum that is absent raises UnknownStratumError. Per-stratum bootstrap
-    seeds derive deterministically from ``seed``.
+    ``strata`` defaults to every stratum present in the data; an absent one raises
+    UnknownStratumError. Stratum i takes the i-th seed of ``_scope_seeds``, as in ``crrkit
+    sensitivity``, so its naive and adjusted estimates share one record draw; every estimate
+    comes from one ``bootstrap_batch`` call.
     """
-    present = set(data.strata())
-    if strata is None:
-        keys = sorted(present)
-    else:
-        unknown = [s for s in strata if s not in present]
-        if unknown:
-            raise UnknownStratumError(f"strata not present in data: {unknown}")
-        keys = list(strata)
+    keys = data.strata() if strata is None else list(strata)
+    seed_of = _scope_seeds(seed, keys)
+    kinds = [(naive_risk_ratio, None)] + ([] if external is None else [(crr_identified, external)])
+    requests = [(statistic, source, x, seed_of[x]) for x in keys for statistic, source in kinds]
+    options = dict(level=level, replicates=replicates, haldane=haldane)
+    results = iter(bootstrap_batch(data, requests, **options))
 
-    sub_seeds = np.random.default_rng(seed).integers(0, 2**63, size=2 * len(keys)).tolist()
-    results = []
-    for key, naive_seed, crr_seed in zip(keys, sub_seeds[::2], sub_seeds[1::2]):
-        options = dict(x=key, level=level, replicates=replicates, haldane=haldane)
-        naive = adjusted = naive_error = adjusted_error = None
-        try:
-            naive = bootstrap(naive_risk_ratio, data, seed=naive_seed, **options)
-        except (EstimandUndefinedError, TooManyUndefinedError) as exc:
-            naive_error = f"{type(exc).__name__}: {exc}"
-        if external is None:
-            adjusted_error = "external distribution not provided"
-        else:
-            try:
-                adjusted = bootstrap(crr_identified, data, external, seed=crr_seed, **options)
-            except (EstimandUndefinedError, TooManyUndefinedError) as exc:
-                adjusted_error = f"{type(exc).__name__}: {exc}"
-        results.append(StratumResult(key, naive, adjusted, naive_error, adjusted_error))
-    return results
+    def split(result) -> tuple[EstimateWithCI | None, str | None]:
+        if isinstance(result, Exception):
+            return None, f"{type(result).__name__}: {result}"
+        return result, None
+
+    rows = []
+    for x in keys:
+        naive, naive_error = split(next(results))
+        adjusted, adjusted_error = None, "external distribution not provided"
+        if external is not None:
+            adjusted, adjusted_error = split(next(results))
+        rows.append(StratumResult(x, naive, adjusted, naive_error, adjusted_error))
+    return rows

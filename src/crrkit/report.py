@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 #: Bumped whenever a rendered field name or column changes.
@@ -55,6 +56,11 @@ def _fmt(value: float | None) -> str:
     if value is None:
         return UNDEFINED
     return f"{value:.10g}"
+
+
+def _json_number(value: float | None) -> float | str | None:
+    """``value``, or for inf, -inf and NaN, which strict JSON lacks, the text _fmt prints."""
+    return value if value is None or math.isfinite(value) else _fmt(value)
 
 
 def _header_pairs(report: Report) -> list[tuple[str, object]]:
@@ -102,20 +108,12 @@ def render_csv(report: Report) -> str:
 
 
 def render_json_lines(report: Report) -> str:
-    records = [
-        {"record": "header", **{key: value for key, value in _header_pairs(report)}}
-    ]
+    records = [{"record": "header", **dict(_header_pairs(report))}]
     for row in report.rows:
+        point, lo, hi = map(_json_number, (row.point, row.lo, row.hi))
         records.append(
-            {
-                "record": "row",
-                "stratum": row.stratum,
-                "estimand": row.estimand,
-                "point": row.point,
-                "lo": row.lo,
-                "hi": row.hi,
-                "flags": list(row.flags),
-            }
+            {"record": "row", "stratum": row.stratum, "estimand": row.estimand, "point": point,
+             "lo": lo, "hi": hi, "flags": list(row.flags)}
         )
     return "\n".join(json.dumps(rec) for rec in records) + "\n"
 

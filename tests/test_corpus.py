@@ -6,7 +6,8 @@ whose code is the case's. ``golden/corpus.sha256`` pins each case as its exit co
 sha256 of its stdout and stderr; ``python tests/corpus/repin.py`` rewrites it from the current
 code and prints the cases that moved. ``corpus/same.txt`` holds groups of cases that must print
 the same rows, such as one input file and its copy with other line ends or quoting. The cases
-and groups live in data files, so that no argv is a literal constant of a test module.
+and groups live in data files, so that no argv is a literal constant of a test module. Every
+stdout line of a json-lines case is strict JSON: no Infinity, -Infinity or NaN token.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shlex
 import shutil
@@ -106,3 +108,18 @@ def test_each_group_prints_the_same_rows(outcomes):
         assert rows[first], f"no rows: {first}"
         for line in others:
             assert rows[line] == rows[first], f"rows differ:\n  {first}\n  {line}"
+
+
+def _refuse(token: str) -> None:
+    raise ValueError(f"{token} is no JSON value")
+
+
+def test_json_lines_cases_print_strict_json(outcomes):
+    json_cases = [line for line in outcomes if "json-lines" in shlex.split(line)]
+    assert json_cases, "no json-lines case"
+    for line in json_cases:
+        for row in outcomes[line][1].splitlines():
+            try:
+                json.loads(row, parse_constant=_refuse)
+            except ValueError as exc:
+                pytest.fail(f"{exc}: {line}\n  {row}")

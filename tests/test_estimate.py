@@ -251,7 +251,7 @@ class TestBootstrap:
             bootstrap(naive_risk_ratio, SIMPLE, replicates=10, seed=1)
 
     def test_empty_scope_rejected(self):
-        with pytest.raises(UnknownStratumError):
+        with pytest.raises(UnknownStratumError, match=r"^strata not present in data: \['missing'\]$"):
             bootstrap(naive_risk_ratio, SIMPLE, x="missing", replicates=10, seed=1)
         with pytest.raises(MissingGroupError):
             bootstrap(naive_risk_ratio, dataset([]), replicates=10, seed=1)
@@ -663,6 +663,21 @@ class TestBootstrapBatch:
             bootstrap_batch(SIMPLE, [(naive_risk_ratio, None, "missing", 1)], replicates=10)
         assert bootstrap_batch(SIMPLE, [], replicates=10) == []
 
+    def test_one_error_names_every_unknown_stratum_in_request_order(self, monkeypatch):
+        present = SIMPLE.strata()[0]
+        requests = [
+            (naive_risk_ratio, None, present, 1),
+            (naive_risk_ratio, None, "zz", 1),
+            (naive_risk_ratio, None, None, 2),
+            (naive_risk_ratio, None, "aa", 3),
+            (naive_risk_difference, None, "zz", 4),
+        ]
+        # the check comes before any draw
+        monkeypatch.setattr(crrkit.estimate, "_bootstrap_groups", None)
+        with pytest.raises(UnknownStratumError) as caught:
+            bootstrap_batch(SIMPLE, requests, replicates=10)
+        assert str(caught.value) == "strata not present in data: ['zz', 'aa']"
+
 
 # The scalar form each built-in statistic had before it became one array formula:
 # the reference for its values, the order of its rules and its error messages.
@@ -795,29 +810,55 @@ class TestStratified:
             assert abs(res.adjusted.point - truth) <= 3 * se
 
     def test_single_stratum_equals_unstratified(self):
+        # the i-th requested stratum takes index i of one seed draw, for its naive and its
+        # adjusted estimate alike
         admin, external, _ = self.two_precinct_data()
-        results = stratified_estimates(
-            admin, external, ["prec-a"], replicates=100, seed=7
-        )
-        sub_seeds = np.random.default_rng(7).integers(0, 2**63, size=2)
-        direct_naive = bootstrap(
-            naive_risk_ratio, admin, x="prec-a", replicates=100, seed=int(sub_seeds[0])
-        )
-        direct_adjusted = bootstrap(
-            crr_identified,
-            admin,
-            external,
-            x="prec-a",
-            replicates=100,
-            seed=int(sub_seeds[1]),
-        )
-        assert results[0].naive == direct_naive
-        assert results[0].adjusted == direct_adjusted
+        keys = ["prec-b", "prec-a"]
+        results = stratified_estimates(admin, external, keys, replicates=100, seed=7)
+        seeds = np.random.default_rng(7).integers(0, 2**63, size=len(keys)).tolist()
+        assert [r.x for r in results] == keys
+        for res, key, seed in zip(results, keys, seeds):
+            options = dict(x=key, replicates=100, seed=seed)
+            assert res.naive == bootstrap(naive_risk_ratio, admin, **options)
+            assert res.adjusted == bootstrap(crr_identified, admin, external, **options)
+            assert res.naive.seed == res.adjusted.seed == seed
+
+    def test_adjusted_rows_equal_sensitivity_unmixed_rows(self, capsys):
+        from pathlib import Path
+
+        from crrkit.cli import main
+        from crrkit.dataio import load_administrative, load_census
+
+        corpus = Path(__file__).parent / "corpus"
+        admin_path, census_path = str(corpus / "admin.csv"), str(corpus / "census.csv")
+        admin, _ = load_administrative(admin_path)
+        external, _ = load_census(census_path)
+        keys = ["zero", "b", "all", "a", "tiny"]
+        for seed, replicates in ((11, 40), (3, 200)):
+            results = stratified_estimates(admin, external, keys, replicates=replicates, seed=seed)
+            argv = [
+                "sensitivity", "--admin", admin_path, "--census", census_path,
+                "--lambda", "0.5", "--citywide-p1", "0.4", "--strata", ",".join(keys),
+                "--seed", str(seed), "--bootstrap", str(replicates), "--format", "csv",
+            ]
+            assert main(argv) == 0
+            lines = [line for line in capsys.readouterr().out.splitlines() if line[0] != "#"]
+            rows = [line.split(",") for line in lines[1:]]
+            unmixed = {row[0]: row[2:5] for row in rows if "unmixed" in row[5].split(";")}
+            assert list(unmixed) == keys
+            for res in results:
+                estimate = res.adjusted
+                if estimate is None:
+                    expected = ["undefined", "", ""]
+                else:
+                    expected = [f"{v:.10g}" for v in (estimate.point, estimate.lo, estimate.hi)]
+                assert unmixed[res.x] == expected, (seed, res)
+            assert results[0].adjusted is None and unmixed["zero"][0] == "undefined"
 
     def test_unknown_stratum(self):
         admin, external, _ = self.two_precinct_data(n=2000)
-        with pytest.raises(UnknownStratumError):
-            stratified_estimates(admin, external, ["prec-zz"], replicates=10, seed=1)
+        with pytest.raises(UnknownStratumError, match=r"^strata not present in data: \['prec-zz'\]$"):
+            stratified_estimates(admin, external, ["prec-zz", "prec-a"], replicates=10, seed=1)
 
     def test_broken_stratum_marked_not_omitted(self):
         rows = [(1, 1, "ok"), (1, 0, "ok"), (0, 1, "ok"), (0, 0, "ok")] * 10
